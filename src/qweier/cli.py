@@ -17,8 +17,8 @@ import argparse
 import re
 import sys
 
-from .errors import ParseError, QweierError
-from .ingest import load_basis, parse_basis_file
+from .errors import QweierError
+from .ingest import load_basis, load_series, load_signature
 from .level1 import (
     Level1Form,
     MonomialExponent,
@@ -27,7 +27,6 @@ from .level1 import (
     eisenstein_e6,
     express_in_monomials,
 )
-from .qseries import QSeries
 from .surface import (
     GENUS_LT_2,
     HYPERELLIPTIC,
@@ -105,39 +104,11 @@ def _cmd_signature(args, out):
 # -- dims -----------------------------------------------------------------
 
 
-def _parse_signature_file(path):
-    """A signature file has lines 'GENUS g', 'CUSPS t', and optionally
-    'ELLIPTIC e1 e2 ...'; '#' comments and blank lines are ignored."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    fields = {}
-    for number, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, rest = line.partition(" ")
-        if key not in ("GENUS", "CUSPS", "ELLIPTIC") or key in fields:
-            raise ParseError(
-                "line %d: expected one GENUS, CUSPS, or ELLIPTIC line, got %r"
-                % (number, raw)
-            )
-        try:
-            fields[key] = [int(tok) for tok in rest.split()]
-        except ValueError:
-            raise ParseError("line %d: non-integer value in %r" % (number, raw))
-    for key in ("GENUS", "CUSPS"):
-        if key not in fields or len(fields[key]) != 1:
-            raise ParseError("signature file needs a single-value %s line" % key)
-    return SurfaceSignature(
-        fields["GENUS"][0], fields["CUSPS"][0], tuple(fields.get("ELLIPTIC", ()))
-    )
-
-
 def _cmd_dims(args, out):
     if re.fullmatch(r"\d+", args.group):
         sig = gamma0_invariants(int(args.group)).signature
     else:
-        sig = _parse_signature_file(args.group)
+        sig = load_signature(args.group)
     m = args.weight
     _print(
         out,
@@ -193,17 +164,8 @@ def _cmd_level1(args, out):
 # -- wronskian --------------------------------------------------------------
 
 
-def _load_series(path):
-    """Read a QEXP file as raw (label, QSeries) pairs plus its headers,
-    without the cusp-basis validation."""
-    with open(path, "r", encoding="utf-8") as handle:
-        basis_file = parse_basis_file(handle.read())
-    series = [QSeries(coeffs, basis_file.prec) for _, coeffs in basis_file.forms]
-    return basis_file, series
-
-
 def _cmd_wronskian(args, out):
-    basis_file, series = _load_series(args.basisfile)
+    basis_file, series = load_series(args.basisfile)
     weight = args.weight if args.weight is not None else basis_file.weight
     k = len(series)
     _print(

@@ -1,17 +1,17 @@
-"""Exact rational matrices, sorted integral Gaussian elimination with a
-transformation matrix, and fraction-free determinants.
+"""Exact rational matrices and one fraction-free elimination core.
 
-The elimination strategy: repeatedly sort rows by number of leading zeros
-(ties broken by original row index), then cancel the leading coefficient of
-every row that shares its pivot column with its predecessor.  Repeat until
-no two adjacent rows share a pivot, then content-normalize every row to
-coprime integer entries with a positive leading entry, so the output is
-canonical.  Zero rows sort last and keep their transformation rows, which
-encode exact linear relations among the inputs.
+Fraction appears only at the edge: RatMatrix and EchelonResult hold
+fractions.Fraction entries, and det_bareiss returns one.  Inside, every
+routine works on primitive integer rows.  A row is cleared once by the
+lcm of its denominators; two rows are combined by cross-multiplication
+(b*x - a*y, with a and b the two entries to cancel over their gcd) and
+the result is divided by its content.  This is fraction-free elimination
+in the sense of Bareiss (1968); det_bareiss uses Bareiss's exact-division
+form.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ShapeError
 
@@ -95,163 +95,119 @@ class EchelonResult:
         self.rank = rank
 
 
-def _leading_zeros(row, cols):
-    for j, x in enumerate(row):
-        if x != 0:
+def _integer_row(frac_row):
+    """frac_row cleared by the lcm of its denominators: (ints, lcm)."""
+    den = lcm(*(x.denominator for x in frac_row))
+    return [x.numerator * (den // x.denominator) for x in frac_row], den
+
+
+def _lead(row, start, stop):
+    """Index of the first nonzero entry of row[start:stop], else stop."""
+    for j in range(start, stop):
+        if row[j]:
             return j
-    return cols
+    return stop
 
 
-def _content(ints):
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-        if g == 1:
-            return 1
-    return g
+def _cancel(x, y, p):
+    """The primitive integer row b*x - a*y, where a = x[p] and b = y[p]
+    are divided by their gcd, so that column p cancels."""
+    a, b = x[p], y[p]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    row = [b * u - a * v for u, v in zip(x, y)]
+    g = gcd(*row)
+    return [u // g for u in row] if g > 1 else row
 
 
-def _primitive(frac_row, signed_by):
-    """The unique primitive-integer multiple of frac_row whose entry at
-    index signed_by is positive, together with the factor applied."""
-    den = 1
-    for x in frac_row:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in frac_row]
-    g = _content(ints)
-    if g == 0:
-        return [Fraction(0)] * len(frac_row), Fraction(0)
-    if ints[signed_by] < 0:
-        g = -g
-    return [Fraction(x, g) for x in ints], Fraction(den, g)
-
-
-def echelon_reduce(m, want_transform=True):
-    """Sorted Gaussian elimination with transformation tracking.
+def echelon_reduce(m):
+    """Sorted fraction-free Gaussian elimination with transformation
+    tracking.
 
     Scheduling: repeatedly sort rows by leading-zero count (ties by
     original row index) and cancel the leading coefficient of every row
     sharing its pivot column with its predecessor; repeat to a fixed
-    point; content-normalize at the end.
+    point.  The rows are augmented integer rows [T*M | T]: row i starts as
+    den_i * [M_i | e_i], and each cancellation b*x - a*y is followed by
+    division by the content of the whole augmented row.
 
-    Working rows are kept monic (divided by their leading coefficient
-    after every cancellation) rather than integral.  Per-row rescaling by
-    a nonzero scalar is invisible to this algorithm: leading-zero counts,
-    tie-breaking, and the cancellation pattern are all scale-independent,
-    cancellation is homogeneous of degree one in each of the two rows
-    involved, and the final normalization (integer entries with content 1
-    and positive leading entry, the transformation row scaled along)
-    erases any leftover factor.  So the output is identical to running the
-    cross-multiplication form of the same schedule, while reduced-fraction
-    arithmetic keeps entry sizes near the sizes of the answer instead of
-    compounding with every cancellation.
-
-    With want_transform=False the transformation matrix is skipped (the
-    result's transform is None): substantially faster when only the rank
-    or the pivot columns are needed, since transformation rows are as wide
-    as the input is tall.
+    The output does not depend on how the working rows are scaled.
+    Leading-zero counts, tie-breaking and the cancellation pattern are
+    scale-independent, and a cancellation is homogeneous of degree one in
+    each of the two rows involved, so every working row stays a nonzero
+    multiple of the row any other scaling (monic Fraction rows, say) would
+    hold.  The final normalization erases the leftover factor: the data
+    part becomes integers with content 1 and a positive leading entry,
+    and the transformation row is divided by the same factor.  A zero data
+    row keeps its transformation row, an exact linear relation among the
+    inputs, normalized to content 1 with a positive leading entry.  Zero
+    rows sort last.
     """
     r, c = m.rows, m.cols
-    if r == 0:
-        return EchelonResult(
-            m, RatMatrix.identity(0) if want_transform else None, [], 0)
-
-    rows = [list(row) for row in m.entries]
-    trows = [
-        [Fraction(1 if j == i else 0) for j in range(r)] for i in range(r)
-    ] if want_transform else None
-    for i in range(r):
-        p = _leading_zeros(rows[i], c)
-        if p < c and rows[i][p] != 1:
-            lead = rows[i][p]
-            rows[i] = [x / lead for x in rows[i]]
-            if want_transform:
-                trows[i] = [x / lead for x in trows[i]]
+    rows = []
+    for i, frac_row in enumerate(m.entries):
+        ints, den = _integer_row(frac_row)
+        ints += [0] * r
+        ints[c + i] = den
+        rows.append(ints)
+    leads = [_lead(row, 0, c) for row in rows]
     orig = list(range(r))
 
-    while True:
-        order = sorted(range(r), key=lambda i: (_leading_zeros(rows[i], c), orig[i]))
+    changed = True
+    while changed:
+        order = sorted(range(r), key=lambda i: (leads[i], orig[i]))
         rows = [rows[i] for i in order]
+        leads = [leads[i] for i in order]
         orig = [orig[i] for i in order]
-        if want_transform:
-            trows = [trows[i] for i in order]
         changed = False
         for i in range(1, r):
-            p = _leading_zeros(rows[i], c)
-            if p < c and p == _leading_zeros(rows[i - 1], c):
-                # Both rows are monic at column p, so the cancellation
-                # a*x - b*y collapses to a subtraction.
-                row = [x - y for x, y in zip(rows[i], rows[i - 1])]
-                trow = (
-                    [x - y for x, y in zip(trows[i], trows[i - 1])]
-                    if want_transform else None
-                )
-                q = _leading_zeros(row, c)
-                if q < c and row[q] != 1:
-                    lead = row[q]
-                    row = [x / lead for x in row]
-                    if want_transform:
-                        trow = [x / lead for x in trow]
-                rows[i] = row
-                if want_transform:
-                    trows[i] = trow
+            p = leads[i]
+            if p < c and p == leads[i - 1]:
+                rows[i] = _cancel(rows[i], rows[i - 1], p)
+                leads[i] = _lead(rows[i], p + 1, c)
                 changed = True
-        if not changed:
-            break
 
-    pivots = []
-    ech, tr = [], []
-    for i in range(r):
-        p = _leading_zeros(rows[i], c)
+    pivots, ech, tr = [], [], []
+    for row, p in zip(rows, leads):
         if p < c:
-            row, factor = _primitive(rows[i], p)
-            ech.append(row)
-            if want_transform:
-                tr.append([x * factor for x in trows[i]])
             pivots.append(p)
+            g = gcd(*row[:c])
         else:
-            ech.append([Fraction(0)] * c)
-            if want_transform:
-                # Zero row: normalize its relation row by content and
-                # sign (it encodes an exact dependence among the inputs).
-                lead = next(
-                    (j for j, x in enumerate(trows[i]) if x != 0), None)
-                if lead is None:
-                    tr.append(list(trows[i]))
-                else:
-                    tr.append(_primitive(trows[i], lead)[0])
+            # A zero data row: normalize its relation part instead.
+            p = _lead(row, c, c + r)
+            g = gcd(*row)
+        if row[p] < 0:
+            g = -g
+        ech.append([x // g for x in row[:c]])
+        tr.append([Fraction(x, g) for x in row[c:]])
     return EchelonResult(
-        RatMatrix(ech, cols=c),
-        RatMatrix(tr, cols=r) if want_transform else None,
-        pivots,
-        len(pivots),
-    )
+        RatMatrix(ech, cols=c), RatMatrix(tr, cols=r), pivots, len(pivots))
 
 
 def pivot_columns(m):
-    """Pivot columns of the reduced row echelon form, by single-sweep
-    elimination with immediate back-substitution.
+    """Pivot columns of the reduced row echelon form, by one sweep over
+    the rows.
 
+    Each row is cleared to integers; while its leading column already
+    holds a pivot row, that column is cancelled fraction-free and the
+    content taken out.  A row that is not zero then becomes a new pivot.
     The pivot column set is algorithm-independent (column j is a pivot
     exactly when it enlarges the rank of the columns to its left), so this
     agrees with echelon_reduce(m).pivots while staying fast on tall
-    matrices: the multi-pass sorted schedule re-scans rows every pass,
-    which this routine avoids.  Row content is not computed here; use
-    echelon_reduce when the actual rows or the transformation matter.
+    matrices: the sorted schedule re-scans rows every pass, which this
+    routine avoids.  Use echelon_reduce when the actual rows or the
+    transformation matter.
     """
+    c = m.cols
     pivrows = {}
-    for row in m.entries:
-        row = list(row)
-        for p in sorted(pivrows):
-            x = row[p]
-            if x:
-                piv = pivrows[p]
-                for j in range(p, m.cols):
-                    row[j] -= x * piv[j]
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is not None:
-            val = row[lead]
-            pivrows[lead] = [x / val for x in row]
+    for frac_row in m.entries:
+        row, _ = _integer_row(frac_row)
+        p = _lead(row, 0, c)
+        while p in pivrows:
+            row = _cancel(row, pivrows[p], p)
+            p = _lead(row, p + 1, c)
+        if p < c:
+            pivrows[p] = row
     return sorted(pivrows)
 
 
@@ -260,8 +216,8 @@ def rank(m):
 
 
 def det_bareiss(m):
-    """Exact determinant by fraction-free elimination after clearing
-    denominators rowwise."""
+    """Exact determinant by Bareiss fraction-free elimination after
+    clearing denominators rowwise."""
     if m.rows != m.cols:
         raise ShapeError("determinant of a %dx%d matrix" % (m.rows, m.cols))
     n = m.rows
@@ -269,12 +225,10 @@ def det_bareiss(m):
         return Fraction(1)
     scale = 1
     a = []
-    for i in range(n):
-        den = 1
-        for x in m.entries[i]:
-            den = den * x.denominator // gcd(den, x.denominator)
+    for frac_row in m.entries:
+        ints, den = _integer_row(frac_row)
         scale *= den
-        a.append([int(x * den) for x in m.entries[i]])
+        a.append(ints)
     sign = 1
     prev = 1
     for k in range(n - 1):

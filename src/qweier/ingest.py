@@ -12,6 +12,12 @@ followed by k blocks of two lines each: ``FORM <label>`` and one line of P
 space-separated rationals (``a`` or ``a/b`` with b > 0), the coefficients
 of q^0 ... q^(P-1).  Lines starting with ``#`` are comments and blank
 lines are skipped; everything else must appear in exactly this order.
+
+A signature file has lines ``GENUS g``, ``CUSPS t`` and optionally
+``ELLIPTIC e1 e2 ...``, with the same comment and blank-line rules.
+
+Every file the package reads is opened here; bytes that are not UTF-8
+raise ParseError.
 """
 
 import re
@@ -20,6 +26,7 @@ from fractions import Fraction
 
 from .errors import ParseError, ValidationError
 from .qseries import QSeries
+from .surface import SurfaceSignature
 from .weierstrass import CuspBasis, ModularFormRecord
 
 _RATIONAL = re.compile(r"-?\d+(/[1-9]\d*)?\Z")
@@ -159,7 +166,45 @@ def parse_basis(text):
     return CuspBasis(bf.level_label, records)
 
 
+def _read_text(path):
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                "%s is not UTF-8 text (byte 0x%02x at offset %d)"
+                % (path, exc.object[exc.start], exc.start)) from None
+
+
 def load_basis(path):
     """parse_basis on the contents of a file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_basis(fh.read())
+    return parse_basis(_read_text(path))
+
+
+def load_series(path):
+    """Read a QEXP file as raw (label, QSeries) pairs plus its headers,
+    without the cusp-basis validation."""
+    basis_file = parse_basis_file(_read_text(path))
+    series = [QSeries(coeffs, basis_file.prec) for _, coeffs in basis_file.forms]
+    return basis_file, series
+
+
+def load_signature(path):
+    """Read a signature file into a SurfaceSignature."""
+    fields = {}
+    for number, line in _meaningful_lines(_read_text(path)):
+        key, _, rest = line.partition(" ")
+        if key not in ("GENUS", "CUSPS", "ELLIPTIC") or key in fields:
+            raise ParseError(
+                "expected one GENUS, CUSPS, or ELLIPTIC line, got %r" % line,
+                line=number)
+        try:
+            fields[key] = [int(tok) for tok in rest.split()]
+        except ValueError:
+            raise ParseError(
+                "non-integer value in %r" % line, line=number) from None
+    for key in ("GENUS", "CUSPS"):
+        if key not in fields or len(fields[key]) != 1:
+            raise ParseError("signature file needs a single-value %s line" % key)
+    return SurfaceSignature(
+        fields["GENUS"][0], fields["CUSPS"][0], tuple(fields.get("ELLIPTIC", ())))

@@ -7,7 +7,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, NotInSpace, PrecisionError
+from .errors import DependentInput, DomainError, NotInSpace, PrecisionError
+from .exactlinalg import RatMatrix, echelon_reduce
 from .qseries import QSeries
 
 #: Exponent pair (alpha, beta) of a monomial E4^alpha * E6^beta.
@@ -127,30 +128,15 @@ def monomial_series(exponent, prec):
     return e4 ** exponent.alpha * e6 ** exponent.beta
 
 
-def _solve_square(rows, rhs):
-    """Gaussian elimination for a small nonsingular square system."""
-    n = len(rows)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        assert piv is not None, "singular system"
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [a[i][n] for i in range(n)]
-
-
 def express_in_monomials(f):
     """Write a weight-m form as a rational combination of the monomials
     E4^a E6^b, 4a + 6b = m.
 
-    The combination is found by solving the square linear system on the
-    first dim coefficients and then verified against every further stored
-    coefficient; a nonzero residual raises NotInSpace.  Returns the list of
+    Every stored coefficient takes part: the matrix with the monomials and
+    then f as rows is echelon-reduced.  Full rank means f is outside the
+    span at this precision (NotInSpace); otherwise the zero row's
+    transformation row is a relation sum(l_j * monomial_j) + l_f * f = 0,
+    and the coefficients are -l_j / l_f.  Returns the list of
     (MonomialExponent, coefficient) pairs with nonzero coefficient, in
     m_basis order.
     """
@@ -162,17 +148,20 @@ def express_in_monomials(f):
             "need at least %d coefficients to certify membership, have %d"
             % (d + 1, prec)
         )
-    monos = [monomial_series(exp, prec) for exp in basis]
-    rows = [[monos[j].coeffs[n] for j in range(d)] for n in range(d)]
-    rhs = [f.series.coeffs[n] for n in range(d)]
-    coeffs = _solve_square(rows, rhs)
-    for n in range(d, prec):
-        residual = f.series.coeffs[n] - sum(
-            coeffs[j] * monos[j].coeffs[n] for j in range(d)
+    rows = [monomial_series(exp, prec).coeffs for exp in basis]
+    rows.append(f.series.coeffs)
+    result = echelon_reduce(RatMatrix(rows, cols=prec))
+    if result.rank > d:
+        raise NotInSpace(
+            "not a weight-%d form of the full group at precision %d"
+            % (f.weight, prec)
         )
-        if residual != 0:
-            raise NotInSpace(
-                "residual %s at q^%d: not a weight-%d form of the full group "
-                "at this precision" % (residual, n, f.weight)
-            )
+    *relation, lam_f = result.transform.row(d)
+    if result.rank < d or lam_f == 0:
+        raise DependentInput(
+            "the weight-%d monomials are linearly dependent modulo q^%d: "
+            "either truly dependent or the precision is too low"
+            % (f.weight, prec)
+        )
+    coeffs = [-lam / lam_f for lam in relation]
     return [(basis[j], coeffs[j]) for j in range(d) if coeffs[j] != 0]

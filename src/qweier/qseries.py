@@ -11,7 +11,8 @@ Values are immutable after construction; all operations are pure functions.
 
 from fractions import Fraction
 
-from .errors import DivisionByZeroSeries, PrecisionError, ValuationError
+from .errors import (DivisionByZeroSeries, DomainError, PrecisionError,
+                     ValuationError)
 
 #: Returned by valuation() when every stored coefficient vanishes.  Callers
 #: must read it as "valuation >= prec", not as a statement about the exact
@@ -29,7 +30,7 @@ class QSeries:
         if prec is None:
             prec = len(coeffs)
         if prec < 0:
-            raise ValueError("prec must be nonnegative")
+            raise DomainError("prec must be nonnegative")
         if len(coeffs) < prec:
             coeffs.extend([Fraction(0)] * (prec - len(coeffs)))
         elif len(coeffs) > prec:
@@ -147,7 +148,7 @@ class QSeries:
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+            raise DomainError("exponent must be a nonnegative integer")
         result = QSeries.one(self.prec)
         base = self
         while e:
@@ -168,7 +169,7 @@ class QSeries:
         """Multiply by q^j (j >= 0).  The monomial q^j is exact, so the
         result is known modulo q^(prec+j)."""
         if j < 0:
-            raise ValueError("shift must be nonnegative")
+            raise DomainError("shift must be nonnegative")
         return QSeries(
             [Fraction(0)] * j + list(self.coeffs), self.prec + j
         )

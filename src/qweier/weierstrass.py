@@ -20,13 +20,12 @@ cusp equals the sum of the gap sequence, and the cusp is an
 (m/2)-Weierstrass point iff that order reaches 1 + t(m-1+t)/2.
 """
 
-from math import comb
-
 from .errors import (DomainError, HyperellipticUnsupported, PrecisionError,
                      RankDeficit, ValidationError)
 from .exactlinalg import RatMatrix, echelon_reduce, pivot_columns
 from .qseries import QSeries
-from .surface import HYPERELLIPTIC, NOT_HYPERELLIPTIC, dim_s_h
+from .surface import (HYPERELLIPTIC, NOT_HYPERELLIPTIC, _require_even_weight,
+                      dim_s_h)
 from .wronskian import wronskian_valuation
 
 #: Report flag: the curve is hyperelliptic and the monomial matrix came out
@@ -139,19 +138,13 @@ class WeierstrassReport:
                     ", flags=%s" % (self.flags,) if self.flags else ""))
 
 
-def _require_even(m, minimum):
-    if m % 2 != 0 or m < minimum:
-        raise DomainError(
-            "weight must be an even integer >= %d, got %s" % (minimum, m))
-
-
 def required_precision(g, m):
     """Coefficients through q^(m/2 + m(g-1)) are needed to read off the
     largest admissible leading exponent, plus one guard term: returns
     m/2 + m(g-1) + 1."""
     if g < 1:
         raise DomainError("genus must be >= 1")
-    _require_even(m, 2)
+    _require_even_weight(m, 2)
     return m // 2 + m * (g - 1) + 1
 
 
@@ -163,7 +156,7 @@ def monomials(basis, m):
     the common basis precision; the shared-prefix recursion performs one
     series multiplication per enumeration step.
     """
-    _require_even(m, 2)
+    _require_even_weight(m, 2)
     g = basis.genus
     need = required_precision(g, m)
     if basis.prec < need:
@@ -193,7 +186,6 @@ def monomials(basis, m):
         vec[i] = 0
 
     rec(0, m // 2, QSeries.one(prec))
-    assert len(out) == comb(g + m // 2 - 1, m // 2)
     return out
 
 
@@ -226,7 +218,7 @@ def weierstrass_test(basis, m, sig, hyperelliptic_status=NOT_HYPERELLIPTIC):
     if basis.genus < 2:
         raise DomainError(
             "no (m/2)-Weierstrass points exist for genus 0 or 1")
-    _require_even(m, 2)
+    _require_even_weight(m, 2)
     mono, matrix = _monomial_matrix(basis, m)
     result = echelon_reduce(matrix)
     t = dim_s_h(sig, m)
@@ -284,12 +276,10 @@ def wronskian_criterion(basis_of_sh, m):
     of the q-Wronskian, bound = 1 + t(m-1+t)/2, and the cusp is an
     (m/2)-Weierstrass point iff order >= bound.
     """
-    _require_even(m, 2)
+    _require_even_weight(m, 2)
     t = len(basis_of_sh)
     if t < 1:
         raise DomainError("need at least one form")
     order = wronskian_valuation(basis_of_sh)
-    twice_bound = t * (m - 1 + t)
-    assert twice_bound % 2 == 0
-    bound = 1 + twice_bound // 2
+    bound = 1 + t * (m - 1 + t) // 2
     return order, bound, order >= bound

@@ -181,6 +181,18 @@ def test_weierstrass_missing_file():
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("wronskian",), ("weierstrass", "--weight", "4"), ("dims", "4")],
+)
+def test_undecodable_file_is_a_clean_error(tmp_path, argv):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"QEXP 1\n\xff\n")
+    code, out, err = run(argv[0], str(path), *argv[1:])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "not UTF-8" in err
+
+
 # -- exit codes and stability -------------------------------------------------
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from qweier.errors import DomainError, NotInSpace, PrecisionError
+from qweier.errors import DependentInput, DomainError, NotInSpace, PrecisionError
 from qweier.level1 import (
     Level1Form,
     MonomialExponent,
@@ -152,6 +152,17 @@ def test_express_rejects_non_member():
 def test_express_needs_guard_coefficient():
     with pytest.raises(PrecisionError):
         express_in_monomials(Level1Form(delta(2).series, 12))
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["in_span", "outside"])
+def test_express_reports_dependent_monomials(monkeypatch, inside):
+    # Both weight-12 monomials replaced by E4^3: a dependent "basis".
+    e4_cubed = eisenstein_e4(10).series ** 3
+    monkeypatch.setattr(
+        "qweier.level1.monomial_series", lambda exp, prec: e4_cubed)
+    f = e4_cubed if inside else delta(10).series
+    with pytest.raises(DependentInput):
+        express_in_monomials(Level1Form(f, 12))
 
 
 def test_express_product_weights_add():

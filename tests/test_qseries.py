@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from qweier.errors import DivisionByZeroSeries, PrecisionError, ValuationError
+from qweier.errors import (DivisionByZeroSeries, DomainError, PrecisionError,
+                           ValuationError)
 from qweier.qseries import INFINITE, QSeries
 
 
@@ -161,6 +162,16 @@ def test_shifted_gains_precision():
 def test_truncated_cannot_extend():
     with pytest.raises(PrecisionError):
         qs(1, 2, prec=2).truncated(5)
+
+
+@pytest.mark.parametrize("op", [
+    lambda: QSeries([F(1)], -1),
+    lambda: qs(1, 2) ** -1,
+    lambda: qs(1, 2).shifted(-1),
+], ids=["prec", "pow", "shifted"])
+def test_argument_errors_are_domain_errors(op):
+    with pytest.raises(DomainError):
+        op()
 
 
 def test_coeff_out_of_window():
