@@ -3,8 +3,11 @@
 A QSeries stores the coefficients of q^0 ... q^(prec-1); the series is known
 modulo q^prec.  Precision is data: every operation computes the precision it
 can actually guarantee for its result, and comparisons should only ever be
-made on the common guaranteed range.  Coefficients are fractions.Fraction
-throughout -- no floating point anywhere.
+made on the common guaranteed range.  Coefficients are stored as
+fractions.Fraction -- no floating point anywhere.  Products run on integer
+numerators: each factor's window is cleared by the lcm of its denominators,
+the Cauchy product is taken over Python ints, and the result goes back to
+Fraction over the product of the two denominators only at the end.
 
 Values are immutable after construction; all operations are pure functions.
 """
@@ -13,6 +16,7 @@ from fractions import Fraction
 
 from .errors import (DivisionByZeroSeries, DomainError, PrecisionError,
                      ValuationError)
+from .exactlinalg import _integer_row
 
 #: Returned by valuation() when every stored coefficient vanishes.  Callers
 #: must read it as "valuation >= prec", not as a statement about the exact
@@ -122,20 +126,23 @@ class QSeries:
             return self.scaled(other)
         if not isinstance(other, QSeries):
             return NotImplemented
-        # Schoolbook Cauchy product.  Both factors have valuation >= 0 by
-        # representation, so the product of the stored windows determines
-        # the result on the smaller window.
+        # Schoolbook Cauchy product on integer numerators.  Both factors
+        # have valuation >= 0 by representation, so the product of the
+        # stored windows determines the result on the smaller window.
         prec = min(self.prec, other.prec)
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * prec
-        for i in range(min(len(a), prec)):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(min(len(b), prec - i)):
-                if b[j] != 0:
-                    out[i + j] += ai * b[j]
-        return QSeries(out, prec)
+        a, da = _integer_row(self.coeffs[:prec])
+        b, db = _integer_row(other.coeffs[:prec])
+        nonzero_b = [(j, x) for j, x in enumerate(b) if x]
+        out = [0] * prec
+        for i, ai in enumerate(a):
+            if ai:
+                stop = prec - i
+                for j, bj in nonzero_b:
+                    if j >= stop:
+                        break
+                    out[i + j] += ai * bj
+        den = da * db
+        return QSeries([Fraction(x, den) for x in out], prec)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -163,30 +163,34 @@ def monomials(basis, m):
         raise PrecisionError(
             "basis precision %d is below the %d coefficients required for "
             "genus %d, weight %d" % (basis.prec, need, g, m))
-    fs = basis.series_list()
-    prec = basis.prec
     out = []
-    vec = [0] * g
-
-    def rec(i, rem, prefix):
-        if i == g - 1:
-            vec[i] = rem
-            p = prefix
-            for _ in range(rem):
-                p = p * fs[i]
-            out.append((tuple(vec), p))
-            vec[i] = 0
-            return
-        chain = [prefix]
-        for _ in range(rem):
-            chain.append(chain[-1] * fs[i])
-        for a in range(rem, -1, -1):
-            vec[i] = a
-            rec(i + 1, rem - a, chain[a])
-        vec[i] = 0
-
-    rec(0, m // 2, QSeries.one(prec))
+    _extend_monomials(basis.series_list(), 0, m // 2,
+                      QSeries.one(basis.prec), [0] * g, out)
     return out
+
+
+def _extend_monomials(fs, i, rem, prefix, vec, out):
+    """Append to out every (exponent vector, series) pair prefix *
+    fs[i]^a_i * ... * fs[-1]^a_last with a_i + ... + a_last = rem, in
+    lexicographically decreasing order; vec[:i] holds the exponents
+    already fixed.  A module-level function rather than a nested one, so
+    no closure refers to itself and out is freed as soon as the caller
+    drops it."""
+    if i == len(fs) - 1:
+        vec[i] = rem
+        p = prefix
+        for _ in range(rem):
+            p = p * fs[i]
+        out.append((tuple(vec), p))
+        vec[i] = 0
+        return
+    chain = [prefix]
+    for _ in range(rem):
+        chain.append(chain[-1] * fs[i])
+    for a in range(rem, -1, -1):
+        vec[i] = a
+        _extend_monomials(fs, i + 1, rem - a, chain[a], vec, out)
+    vec[i] = 0
 
 
 def _monomial_matrix(basis, m):

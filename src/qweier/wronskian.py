@@ -91,28 +91,28 @@ def _theta_tower(series, valuation_shift, height):
 def _det_laplace(rows, prec):
     """Determinant of a small series matrix by Laplace expansion along the
     first rows, memoizing minors over column subsets."""
-    k = len(rows)
-    memo = {}
+    return _laplace_minor(rows, tuple(range(len(rows))), {}, prec)
 
-    def minor(cols):
-        if cols in memo:
-            return memo[cols]
-        r = k - len(cols)
-        if not cols:
-            return QSeries.one(prec)
-        row = rows[r]
-        total = QSeries.zero(prec)
-        for pos, j in enumerate(cols):
-            entry = row[j]
-            if entry.is_zero():
-                continue
-            sub = minor(cols[:pos] + cols[pos + 1:])
-            term = entry * sub
-            total = total + (term if pos % 2 == 0 else -term)
-        memo[cols] = total
-        return total
 
-    return minor(tuple(range(k)))
+def _laplace_minor(rows, cols, memo, prec):
+    """The minor on the last len(cols) rows and the columns cols, expanded
+    along its first row.  A module-level function with the memo passed in,
+    so no closure refers to itself and the memo is freed with the call."""
+    if cols in memo:
+        return memo[cols]
+    if not cols:
+        return QSeries.one(prec)
+    row = rows[len(rows) - len(cols)]
+    total = QSeries.zero(prec)
+    for pos, j in enumerate(cols):
+        entry = row[j]
+        if entry.is_zero():
+            continue
+        sub = _laplace_minor(rows, cols[:pos] + cols[pos + 1:], memo, prec)
+        term = entry * sub
+        total = total + (term if pos % 2 == 0 else -term)
+    memo[cols] = total
+    return total
 
 
 def _det_bareiss_series(rows, prec):
@@ -152,25 +152,21 @@ def _det_series(rows, k, prec):
     return _det_bareiss_series(rows, prec)
 
 
-def _reduced_columns(fs, height):
-    """Strip each input's q-valuation and build its derivative tower.
+def _reduced_columns(fs, vals, height, prec):
+    """Strip each input's q-valuation and build its derivative tower to
+    precision prec.
 
-    Returns (columns, valuations) where columns[j][i] = (v_j + theta)^i g_j
-    with f_j = q^(v_j) g_j, or None in place of a column whose input is
-    zero at its stored precision.
+    Returns columns with columns[j][i] = (v_j + theta)^i g_j mod q^prec,
+    where f_j = q^(v_j) g_j and vals[j] = v_j.  prec must not exceed
+    f_j.prec - v_j for any j.  theta and scaling act coefficient by
+    coefficient, so truncating g_j before building the tower gives the
+    same entries as truncating the tower afterwards, and only the
+    coefficients the caller reads are computed.
     """
-    columns, vals = [], []
-    for f in fs:
-        v = f.valuation()
-        if v == INFINITE:
-            columns.append(None)
-            vals.append(INFINITE)
-            continue
-        v = int(v)
-        g = QSeries(f.coeffs[v:], f.prec - v)
-        columns.append(_theta_tower(g, v, height))
-        vals.append(v)
-    return columns, vals
+    return [
+        _theta_tower(QSeries(f.coeffs[v:v + prec], prec), v, height)
+        for f, v in zip(fs, vals)
+    ]
 
 
 def q_wronskian(fs, m):
@@ -188,17 +184,15 @@ def q_wronskian(fs, m):
     fs = [f.truncated(prec) for f in fs]
     if k == 1:
         return WronskianOutput(fs[0], 1, m)
-    columns, vals = _reduced_columns(fs, k)
-    if any(col is None for col in columns):
+    vals = [f.valuation() for f in fs]
+    if INFINITE in vals:
         # A column is zero modulo the stored precision, hence so is the
         # determinant.
         return WronskianOutput(QSeries.zero(prec), k, m)
     shift = sum(vals)
     reduced_prec = prec - max(vals)
-    rows = [
-        [columns[j][i].truncated(reduced_prec) for j in range(k)]
-        for i in range(k)
-    ]
+    columns = _reduced_columns(fs, vals, k, reduced_prec)
+    rows = [[columns[j][i] for j in range(k)] for i in range(k)]
     det = _det_series(rows, k, reduced_prec)
     series = det.shifted(shift).truncated(prec)
     return WronskianOutput(series, k, m)
@@ -209,10 +203,13 @@ def wronskian_valuation(fs):
     reduced determinant; works even when the valuation exceeds the stored
     precision of the inputs.
 
-    Returns sum(v_j) + valuation(reduced determinant).  Raises
-    PrecisionError when the reduced determinant vanishes at the available
-    precision (the valuation cannot be certified), and DependentInput when
-    an input is zero at its stored precision.
+    Returns sum(v_j) + valuation(reduced determinant).  The reduced
+    determinant is probed modulo q^1, q^4, q^16, ... up to the working
+    precision min(prec) - max(v_j); each probe builds the derivative
+    towers only to the precision it reads.  Raises PrecisionError when the
+    reduced determinant vanishes at the working precision (the valuation
+    cannot be certified), and DependentInput when an input is zero at its
+    stored precision.
     """
     k = len(fs)
     if k == 0:
@@ -226,8 +223,8 @@ def wronskian_valuation(fs):
                 "series is zero modulo q^%d; valuation not certifiable" % prec
             )
         return int(v)
-    columns, vals = _reduced_columns(fs, k)
-    if any(col is None for col in columns):
+    vals = [f.valuation() for f in fs]
+    if INFINITE in vals:
         raise DependentInput(
             "an input vanishes at its stored precision: the list is either "
             "linearly dependent or the precision is insufficient"
@@ -239,6 +236,7 @@ def wronskian_valuation(fs):
     # so the first probe almost always settles it.
     probe = 1
     while probe <= working:
+        columns = _reduced_columns(fs, vals, k, probe)
         if probe == 1:
             constant = RatMatrix(
                 [[columns[j][i].coeffs[0] for j in range(k)] for i in range(k)],
@@ -247,10 +245,7 @@ def wronskian_valuation(fs):
             if det_bareiss(constant) != 0:
                 return shift
         else:
-            rows = [
-                [columns[j][i].truncated(probe) for j in range(k)]
-                for i in range(k)
-            ]
+            rows = [[columns[j][i] for j in range(k)] for i in range(k)]
             det = _det_series(rows, k, probe)
             v = det.valuation()
             if v != INFINITE:

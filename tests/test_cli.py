@@ -1,6 +1,9 @@
 import io
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -224,6 +227,17 @@ def test_console_script_is_wired_up():
         pytest.skip("console script not installed")
     proc = subprocess.run(
         [exe, "dims", "34", "4"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0
+    assert "dim S_4 = 12, dim S^H_4 = 6" in proc.stdout
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qweier", "dims", "34", "4"],
+        capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0
     assert "dim S_4 = 12, dim S^H_4 = 6" in proc.stdout

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qweier.errors import (DivisionByZeroSeries, DomainError, PrecisionError,
                            ValuationError)
@@ -82,6 +82,39 @@ def test_mul_one_is_identity():
 def test_mul_by_scalar():
     assert qs(1, 2, prec=2) * 3 == qs(3, 6, prec=2)
     assert F(1, 2) * qs(4, 2, prec=2) == qs(2, 1, prec=2)
+
+
+def _reference_mul(a, b):
+    """The Fraction schoolbook Cauchy product, kept as the reference the
+    integer-numerator kernel in QSeries.__mul__ must reproduce."""
+    prec = min(a.prec, b.prec)
+    a, b = a.coeffs, b.coeffs
+    out = [F(0)] * prec
+    for i in range(min(len(a), prec)):
+        ai = a[i]
+        if ai == 0:
+            continue
+        for j in range(min(len(b), prec - i)):
+            if b[j] != 0:
+                out[i + j] += ai * b[j]
+    return QSeries(out, prec)
+
+
+mul_factors = st.one_of(
+    small_series(min_prec=0),
+    st.integers(min_value=0, max_value=8).map(QSeries.zero),
+)
+
+
+@given(mul_factors, mul_factors)
+@example(qs(F(1, 2), F(-2, 3), F(5, 6)), qs(F(3, 4), F(1, 5), F(-7, 4)))
+@example(qs(F(1, 3), 2, F(-5, 2), 1, prec=4), qs(F(7, 6), F(1, 4), prec=2))
+@example(qs(1, F(2, 5), 3), QSeries.zero(0))
+@example(QSeries.zero(5), qs(F(7, 3), F(-1, 9), 0, 4))
+def test_mul_matches_fraction_reference(a, b):
+    prod = a * b
+    assert prod == _reference_mul(a, b)
+    assert all(type(c) is F for c in prod.coeffs)
 
 
 # -- q_derive ----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction as F
 from math import comb
@@ -182,6 +183,19 @@ def test_subspace_dimension_on_fixtures():
 
 
 # -- weierstrass_test on the bundled bases ------------------------------------
+
+
+def test_monomial_enumeration_leaves_no_reference_cycle():
+    # The monomial list must be freed by reference counting alone, not
+    # kept alive until the cyclic collector next runs.
+    basis = load_fixture(34)
+    gc.collect()
+    gc.disable()
+    try:
+        subspace_dimension(basis, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_level34_weight4_not_a_weierstrass_point():

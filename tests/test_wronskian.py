@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction as F
 
@@ -108,6 +109,24 @@ def test_laplace_and_bareiss_backends_agree():
         assert _det_laplace(rows, prec) == _det_bareiss_series(
             [list(r) for r in rows], prec
         )
+
+
+def test_laplace_memo_leaves_no_reference_cycle():
+    # The minor memo of a Laplace determinant (k <= 8) must be freed by
+    # reference counting alone, not kept alive until the cyclic collector
+    # next runs.
+    rng = random.Random(34)
+    fs = [
+        QSeries([F(rng.randint(-4, 4)) for _ in range(10)], 10)
+        for _ in range(5)
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        q_wronskian(fs, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- alternating multilinearity ---------------------------------------------------
@@ -238,6 +257,42 @@ def test_wronskian_valuation_beyond_stored_precision():
     b = qs(*([0] * 9 + [1, -1, 2]), prec=12)
     assert wronskian_valuation([a, b]) == 17
     assert q_wronskian([a, b], 2).series.is_zero()
+
+
+@pytest.mark.parametrize("gaps", [
+    (2, 3, 6, 8),
+    (1, 2, 4, 7, 9),
+    (2, 3, 5, 8, 9, 12),
+])
+def test_wronskian_valuation_deep_probe(gaps):
+    # Every input has the valuation gaps[0], but their span reaches the
+    # valuations in gaps, so the Wronskian valuation is sum(gaps) and the
+    # reduced determinant vanishes to order sum(gaps) - k * gaps[0] >= 4:
+    # the probes at q^1 and q^4 see zero and the answer comes from q^16 or
+    # beyond.
+    k = len(gaps)
+    total = sum(gaps)
+    assert total - k * gaps[0] >= 4
+    rng = random.Random(total)
+    prec = total + 4
+    echelon = [
+        QSeries([F(0)] * w + [F(1)]
+                + [F(rng.randint(-5, 5), rng.randint(1, 3))
+                   for _ in range(prec - w - 1)], prec)
+        for w in gaps
+    ]
+    # A unitriangular mix with a nonzero multiple of the lowest form in
+    # every row keeps the inputs independent and all at valuation gaps[0].
+    fs = [echelon[0]]
+    for i in range(1, k):
+        acc = echelon[i] + echelon[0].scaled(rng.choice([-2, -1, 1, 3]))
+        for j in range(1, i):
+            acc = acc + echelon[j].scaled(F(rng.randint(-3, 3), 2))
+        fs.append(acc)
+    rng.shuffle(fs)
+    assert all(f.valuation() == gaps[0] for f in fs)
+    assert q_wronskian(fs, 2).series.valuation() == total
+    assert wronskian_valuation(fs) == total
 
 
 def test_wronskian_valuation_rejects_zero_input():
