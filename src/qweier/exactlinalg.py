@@ -22,7 +22,10 @@ class RatMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries, cols=None):
-        entries = [tuple(Fraction(x) for x in row) for row in entries]
+        entries = [
+            tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
+            for row in entries
+        ]
         if entries:
             cols = len(entries[0]) if cols is None else cols
             for row in entries:

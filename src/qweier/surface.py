@@ -11,7 +11,7 @@ at least 2 is embedded as a table (Ogg's list).
 from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError
+from .errors import DomainError, QweierError
 
 GENUS_LT_2 = "GENUS_LT_2"
 HYPERELLIPTIC = "HYPERELLIPTIC"
@@ -224,7 +224,10 @@ def gamma0_invariants(N):
             nu3 *= 1 + _kronecker_minus_three(p)
     cusps = sum(_euler_phi(gcd(d, N // d)) for d in _divisors(N))
     genus_frac = 1 + Fraction(index, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(cusps, 2)
-    assert genus_frac.denominator == 1
+    if genus_frac.denominator != 1:
+        raise QweierError(
+            "genus formula for Gamma_0(%d) gave the non-integer %s"
+            % (N, genus_frac))
     genus = int(genus_frac)
     if genus < 2:
         status = GENUS_LT_2

@@ -2,9 +2,9 @@
 identity connecting them.
 
 The q-Wronskian of f_1, ..., f_k is the determinant of the k x k matrix
-whose i-th row applies (q d/dq)^i to each f_j.  Determinants are evaluated
-by Laplace expansion with memoization over column subsets for k <= 8 and by
-fraction-free elimination on series entries beyond that.
+whose i-th row applies (q d/dq)^i to each f_j.  Its determinant is taken
+by Gaussian elimination over Q[[q]] that pivots on an entry of least
+valuation, which keeps the full input precision for every k.
 
 Every input column is first reduced by its q-valuation: with f = q^v g,
 (q d/dq)^i f = q^v (v + q d/dq)^i g, so W_q(f_1,...,f_k) =
@@ -88,68 +88,56 @@ def _theta_tower(series, valuation_shift, height):
     return out
 
 
-def _det_laplace(rows, prec):
-    """Determinant of a small series matrix by Laplace expansion along the
-    first rows, memoizing minors over column subsets."""
-    return _laplace_minor(rows, tuple(range(len(rows))), {}, prec)
+def _det_series(rows, prec):
+    """Determinant of a square matrix of series known modulo q^prec, with
+    the full precision prec.
 
-
-def _laplace_minor(rows, cols, memo, prec):
-    """The minor on the last len(cols) rows and the columns cols, expanded
-    along its first row.  A module-level function with the memo passed in,
-    so no closure refers to itself and the memo is freed with the call."""
-    if cols in memo:
-        return memo[cols]
-    if not cols:
-        return QSeries.one(prec)
-    row = rows[len(rows) - len(cols)]
-    total = QSeries.zero(prec)
-    for pos, j in enumerate(cols):
-        entry = row[j]
-        if entry.is_zero():
-            continue
-        sub = _laplace_minor(rows, cols[:pos] + cols[pos + 1:], memo, prec)
-        term = entry * sub
-        total = total + (term if pos % 2 == 0 else -term)
-    memo[cols] = total
-    return total
-
-
-def _det_bareiss_series(rows, prec):
-    """Fraction-free elimination on series entries with precision tracking.
-
-    Each Bareiss division is exact in the untruncated ring, so exact_div is
-    valid; when a pivot has positive valuation the quotient precision
-    contracts and the result carries the correspondingly smaller guarantee.
+    Gaussian elimination over Q[[q]] that pivots, at each step, on an
+    entry of least valuation v in the remaining block.  Every entry of the
+    block is then q^v times a series known modulo q^(prec - v), so each
+    multiplier m_i = a_ic / a_cc is known modulo q^(prec - v), and each
+    update a_ij - q^v * (m_i * a_cj / q^v) is known modulo q^prec again.
+    The block valuations never decrease, and the determinant is
+    +-q^(v_1 + ... + v_k) times the product of the pivots' unit parts.
     """
     k = len(rows)
     a = [list(r) for r in rows]
     sign = 1
-    prev = None
-    for col in range(k - 1):
-        piv = next((i for i in range(col, k) if not a[i][col].is_zero()), None)
-        if piv is None:
-            working = min(x.prec for row in a for x in row)
-            return QSeries.zero(working)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
+    shift = 0
+    units = []
+    for c in range(k):
+        v, i, j = min((a[i][j].valuation(), i, j)
+                      for i in range(c, k) for j in range(c, k))
+        if shift + v * (k - c) >= prec:
+            # Every later pivot has valuation >= v, so the determinant
+            # vanishes modulo q^prec.
+            return QSeries.zero(prec)
+        if i != c:
+            a[c], a[i] = a[i], a[c]
             sign = -sign
-        for i in range(col + 1, k):
-            for j in range(col + 1, k):
-                num = a[i][j] * a[col][col] - a[i][col] * a[col][j]
-                a[i][j] = num.exact_div(prev) if prev is not None else num
-            a[i][col] = QSeries.zero(a[i][col].prec)
-        prev = a[col][col]
-    result = a[k - 1][k - 1]
-    if sign < 0:
-        result = -result
-    return result
-
-
-def _det_series(rows, k, prec):
-    if k <= 8:
-        return _det_laplace(rows, prec)
-    return _det_bareiss_series(rows, prec)
+        if j != c:
+            for row in a[c:]:
+                row[c], row[j] = row[j], row[c]
+            sign = -sign
+        low = prec - v
+        unit = QSeries(a[c][c].coeffs[v:], low)
+        inverse = QSeries.one(low).exact_div(unit)
+        pivot_row = [(j, QSeries(x.coeffs[v:], low))
+                     for j, x in enumerate(a[c][c + 1:], start=c + 1)
+                     if not x.is_zero()]
+        for row in a[c + 1:]:
+            m = QSeries(row[c].coeffs[v:], low) * inverse
+            if m.is_zero():
+                continue
+            for j, b in pivot_row:
+                row[j] = row[j] - (m * b).shifted(v)
+        units.append(unit)
+        shift += v
+    det = QSeries.one(prec - shift)
+    for unit in units:
+        det = det * unit
+    det = det.shifted(shift)
+    return -det if sign < 0 else det
 
 
 def _reduced_columns(fs, vals, height, prec):
@@ -172,7 +160,8 @@ def _reduced_columns(fs, vals, height, prec):
 def q_wronskian(fs, m):
     """The q-Wronskian det[(q d/dq)^i f_j] of k = len(fs) series of common
     weight m, with guaranteed output precision equal to the common input
-    precision."""
+    precision: the reduced determinant is known modulo
+    q^(prec - max(v_j)), and the shift by sum(v_j) restores prec."""
     k = len(fs)
     if k == 0:
         raise EmptyInput("q-Wronskian of an empty list")
@@ -193,7 +182,7 @@ def q_wronskian(fs, m):
     reduced_prec = prec - max(vals)
     columns = _reduced_columns(fs, vals, k, reduced_prec)
     rows = [[columns[j][i] for j in range(k)] for i in range(k)]
-    det = _det_series(rows, k, reduced_prec)
+    det = _det_series(rows, reduced_prec)
     series = det.shifted(shift).truncated(prec)
     return WronskianOutput(series, k, m)
 
@@ -246,7 +235,7 @@ def wronskian_valuation(fs):
                 return shift
         else:
             rows = [[columns[j][i] for j in range(k)] for i in range(k)]
-            det = _det_series(rows, k, probe)
+            det = _det_series(rows, probe)
             v = det.valuation()
             if v != INFINITE:
                 return shift + int(v)

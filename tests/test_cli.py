@@ -7,8 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fixture_path
+from conftest import fixture_path, load_fixture
 from qweier.cli import cli_dispatch, format_gaps
+from qweier.ingest import BasisFile, serialize
+from qweier.surface import gamma0_invariants
+from qweier.weierstrass import weierstrass_test
 
 
 def run(*argv):
@@ -135,6 +138,27 @@ def test_wronskian_rejects_dependent_forms(tmp_path):
     path.write_text(text)
     code, _, err = run("wronskian", str(path))
     assert code == 1 and "error:" in err
+
+
+def test_wronskian_on_nine_forms_sharing_one_exponent(tmp_path):
+    # The echelon rows of X_0(60) at m = 6 lead with q^3 ... q^11; adding
+    # the first to the other eight puts all nine on q^3, so the reduced
+    # determinant vanishes to order 63 - 27 = 36 and every pivot of the
+    # series elimination after the first has positive valuation.
+    inv = gamma0_invariants(60)
+    rows = weierstrass_test(
+        load_fixture(60), 6, inv.signature,
+        hyperelliptic_status=inv.hyperelliptic_status).rows
+    fs = [rows[0]] + [r + rows[0] for r in rows[1:9]]
+    prec = fs[0].prec
+    path = tmp_path / "x60_m6_k9.qexp"
+    path.write_text(serialize(BasisFile(
+        "Gamma0(60)", 6, prec,
+        [("r%d" % i, f.coeffs) for i, f in enumerate(fs)])))
+    code, out, err = run("wronskian", str(path))
+    assert (code, err) == (0, "")
+    assert "q-Wronskian valuation: 63\n" in out
+    assert out.endswith("cusp-order identity: OK (63 = 63)\n")
 
 
 # -- weierstrass --------------------------------------------------------------

@@ -47,6 +47,16 @@ def small_matrices(draw, max_dim=5, square=False):
     return RatMatrix(rows, cols=c)
 
 
+# -- RatMatrix ----------------------------------------------------------------
+
+
+def test_fraction_entries_are_kept_and_others_converted():
+    half = F(1, 2)
+    m = RatMatrix([[half, 3]])
+    assert m.entries[0][0] is half
+    assert m.entries[0][1] == F(3) and type(m.entries[0][1]) is F
+
+
 # -- echelon_reduce -----------------------------------------------------------
 
 

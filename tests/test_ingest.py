@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_path, load_fixture
-from qweier.errors import ParseError, ValidationError
+from qweier.errors import ParseError, QweierError, ValidationError
 from qweier.ingest import (
     BasisFile,
     load_basis,
+    load_signature,
     parse_basis,
     parse_basis_file,
     serialize,
@@ -165,3 +166,55 @@ def test_parse_serialize_round_trip_is_the_identity(bf):
 def test_basis_file_checks_coefficient_counts():
     with pytest.raises(ValidationError):
         BasisFile("x", 2, 3, [("f0", [F(0), F(1)])])
+
+
+# -- fuzzing ------------------------------------------------------------------
+
+SIGNATURE = "GENUS 3\nCUSPS 4\nELLIPTIC 2 2\n"
+
+words = st.sampled_from([
+    "QEXP", "LEVEL", "WEIGHT", "PREC", "FORMS", "FORM", "GENUS", "CUSPS",
+    "ELLIPTIC", "#", "0", "1", "-2", "5", "1/2", "-3/4", "2/0", "1/-2",
+    "+1", "1.5", "\u0663", "x",
+])
+lines = st.lists(st.one_of(words, st.text(max_size=4)), max_size=6).map(" ".join)
+
+
+@st.composite
+def mutated(draw, base):
+    """base with one line replaced, inserted or deleted, so the parser gets
+    past the lines before it."""
+    out = base.splitlines()
+    i = draw(st.integers(min_value=0, max_value=len(out) - 1))
+    action = draw(st.sampled_from(["replace", "insert", "delete"]))
+    if action == "delete":
+        del out[i]
+    else:
+        out[i:i + (action == "replace")] = [draw(lines)]
+    return "\n".join(out) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+def texts(base):
+    return st.one_of(
+        st.text(), st.lists(lines, max_size=12).map("\n".join), mutated(base))
+
+
+@given(texts(GOOD))
+@settings(max_examples=300)
+def test_arbitrary_basis_text_fails_only_with_parse_errors(text):
+    try:
+        parse_basis_file(text)
+    except (ParseError, ValidationError):
+        pass
+
+
+@given(st.one_of(texts(SIGNATURE).map(str.encode), st.binary()))
+@settings(max_examples=300)
+def test_arbitrary_signature_file_fails_only_with_typed_errors(
+        tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.sig"
+    path.write_bytes(data)
+    try:
+        load_signature(path)
+    except QweierError:
+        pass

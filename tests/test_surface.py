@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from qweier.errors import DomainError
+import qweier.surface
+from qweier.errors import DomainError, QweierError
 from qweier.level1 import dim_m
 from qweier.surface import (
     GENUS_LT_2,
@@ -166,6 +167,15 @@ def test_hyperelliptic_table():
             assert inv.hyperelliptic_status == HYPERELLIPTIC
         else:
             assert inv.hyperelliptic_status == NOT_HYPERELLIPTIC
+
+
+def test_non_integral_genus_is_a_typed_error(monkeypatch):
+    # A wrong cusp count (one cusp per divisor of 9 = three cusps) makes the
+    # genus formula give 1/2.  The guard must survive python -O, so it is a
+    # QweierError rather than an assert.
+    monkeypatch.setattr(qweier.surface, "_euler_phi", lambda n: 1)
+    with pytest.raises(QweierError, match="non-integer 1/2"):
+        gamma0_invariants(9)
 
 
 def test_invariants_n34():

@@ -10,8 +10,7 @@ from qweier.level1 import delta, eisenstein_e4, eisenstein_e6
 from qweier.qseries import INFINITE, QSeries
 from qweier.wronskian import (
     SpanValuations,
-    _det_bareiss_series,
-    _det_laplace,
+    _det_series,
     cusp_order_identity_check,
     elliptic_wronskian_order,
     q_wronskian,
@@ -91,34 +90,62 @@ def test_zero_column_gives_zero_series():
     assert w.series.is_zero() and w.series.prec == 4
 
 
-# -- determinant backends agree -------------------------------------------------
+# -- series determinant ----------------------------------------------------------
 
 
-def test_laplace_and_bareiss_backends_agree():
+def _reference_det(rows, prec):
+    """Laplace expansion along the first rows, memoized over column subsets:
+    sums of products only, so no pivot can lose precision."""
+    k = len(rows)
+    memo = {(): QSeries.one(prec)}
+
+    def minor(cols):
+        if cols not in memo:
+            row = rows[k - len(cols)]
+            total = QSeries.zero(prec)
+            for pos, j in enumerate(cols):
+                term = row[j] * minor(cols[:pos] + cols[pos + 1:])
+                total = total + (term if pos % 2 == 0 else -term)
+            memo[cols] = total
+        return memo[cols]
+
+    return minor(tuple(range(k)))
+
+
+def test_det_series_matches_laplace_reference():
+    # Every entry of a matrix shares the valuation `base` (up to 3) and some
+    # reach higher, so pivots of positive valuation are common; every other
+    # matrix has a last row dependent on the first two.
     rng = random.Random(1405)
-    for _ in range(12):
-        k = rng.randint(2, 5)
-        prec = 6
-        rows = [
-            [
-                QSeries([F(rng.randint(-4, 4)) for _ in range(prec)], prec)
-                for _ in range(k)
-            ]
-            for _ in range(k)
-        ]
-        assert _det_laplace(rows, prec) == _det_bareiss_series(
-            [list(r) for r in rows], prec
-        )
+    for trial in range(80):
+        k = rng.randint(1, 9)
+        prec = rng.randint(1, 14)
+        base = rng.randint(0, 3)
+
+        def entry():
+            v = min(prec, base + rng.choice([0, 0, 1, 2]))
+            return QSeries([F(0)] * v + [
+                F(rng.randint(-3, 3), rng.randint(1, 2))
+                for _ in range(prec - v)], prec)
+
+        rows = [[entry() for _ in range(k)] for _ in range(k)]
+        if k >= 3 and trial % 2:
+            a, b = rng.choice([-2, -1, 1]), F(rng.randint(-2, 2), 3)
+            rows[-1] = [rows[0][j].scaled(a) + rows[1][j].scaled(b)
+                        for j in range(k)]
+        result = _det_series([list(r) for r in rows], prec)
+        assert result == _reference_det(rows, prec), (trial, k, prec)
+        assert result.prec == prec
 
 
-def test_laplace_memo_leaves_no_reference_cycle():
-    # The minor memo of a Laplace determinant (k <= 8) must be freed by
-    # reference counting alone, not kept alive until the cyclic collector
-    # next runs.
+@pytest.mark.parametrize("k", [5, 9])
+def test_series_determinant_leaves_no_reference_cycle(k):
+    # The series determinant behind q_wronskian must be freed by reference
+    # counting alone, not kept alive until the cyclic collector next runs.
     rng = random.Random(34)
     fs = [
-        QSeries([F(rng.randint(-4, 4)) for _ in range(10)], 10)
-        for _ in range(5)
+        QSeries([F(rng.randint(-4, 4)) for _ in range(12)], 12)
+        for _ in range(k)
     ]
     gc.collect()
     gc.disable()
@@ -263,6 +290,8 @@ def test_wronskian_valuation_beyond_stored_precision():
     (2, 3, 6, 8),
     (1, 2, 4, 7, 9),
     (2, 3, 5, 8, 9, 12),
+    (1, 2, 3, 5, 6, 8, 9, 11, 13),
+    (2, 3, 4, 6, 7, 9, 10, 12, 13, 15),
 ])
 def test_wronskian_valuation_deep_probe(gaps):
     # Every input has the valuation gaps[0], but their span reaches the
