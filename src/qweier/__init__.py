@@ -1,7 +1,7 @@
 """Exact q-expansion arithmetic, Wronskians, dimension bookkeeping for
 Fuchsian groups, and Weierstrass-point tests at the infinite cusp."""
 
-from .qseries import INFINITE, QSeries
+from .qseries import QSeries
 from .ingest import BasisFile, load_basis, parse_basis, parse_basis_file, serialize
 from .weierstrass import (
     SPAN_NOT_GUARANTEED,

@@ -256,6 +256,13 @@ def _cmd_weierstrass(args, out):
 # -- dispatch ---------------------------------------------------------------
 
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="qweier",
@@ -273,7 +280,7 @@ def _build_parser():
 
     p_l1 = sub.add_parser("level1", help="full-modular-group checks")
     p_l1.add_argument("action", choices=["verify"])
-    p_l1.add_argument("--tmax", type=int, required=True, metavar="T")
+    p_l1.add_argument("--tmax", type=positive_int, required=True, metavar="T")
     p_l1.add_argument("--prec", type=int, default=40, metavar="P")
 
     p_wr = sub.add_parser("wronskian", help="q-Wronskian of a basis file")

@@ -1,54 +1,70 @@
 """Exact rational matrices and one fraction-free elimination core.
 
-Fraction appears only at the edge: RatMatrix and EchelonResult hold
-fractions.Fraction entries, and det_bareiss returns one.  Inside, every
-routine works on primitive integer rows.  A row is cleared once by the
-lcm of its denominators; two rows are combined by cross-multiplication
-(b*x - a*y, with a and b the two entries to cancel over their gcd) and
-the result is divided by its content.  This is fraction-free elimination
-in the sense of Bareiss (1968); det_bareiss uses Bareiss's exact-division
-form.
+A RatMatrix holds each row as integers over one denominator, cleared once
+by the lcm of its denominators or handed over as integers by the series
+layer; Fraction appears only in the `entries` view, `row`, and the value
+det_bareiss returns.  Two primitive integer rows are combined by
+cross-multiplication (b*x - a*y, with a and b the two entries to cancel
+over their gcd) and the result is divided by its content.  This is
+fraction-free elimination in the sense of Bareiss (1968); det_bareiss uses
+Bareiss's exact-division form.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import ShapeError
 
 
 class RatMatrix:
-    """Immutable r x c matrix of exact rationals."""
+    """Immutable r x c matrix of exact rationals.  Row i is nums[i] /
+    dens[i], integers over one nonzero denominator; entries is the same
+    matrix as Fractions, built on first read."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "nums", "dens", "_entries")
 
     def __init__(self, entries, cols=None):
-        entries = [
+        entries = tuple(
             tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
             for row in entries
-        ]
-        if entries:
-            cols = len(entries[0]) if cols is None else cols
-            for row in entries:
-                if len(row) != cols:
-                    raise ShapeError("ragged rows: expected %d columns" % cols)
-        elif cols is None:
-            cols = 0
-        object.__setattr__(self, "rows", len(entries))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(entries))
+        )
+        rows = [_integer_row(row) for row in entries]
+        self._fill([r for r, _ in rows], [d for _, d in rows], cols, entries)
+
+    @classmethod
+    def from_integer_rows(cls, nums, dens, cols):
+        """The matrix whose row i is nums[i] / dens[i], dens[i] != 0."""
+        m = object.__new__(cls)
+        m._fill(nums, dens, cols, None)
+        return m
+
+    def _fill(self, nums, dens, cols, entries):
+        nums = tuple(map(tuple, nums))
+        if cols is None:
+            cols = len(nums[0]) if nums else 0
+        if any(len(row) != cols for row in nums):
+            raise ShapeError("ragged rows: expected %d columns" % cols)
+        _set_slots(self, rows=len(nums), cols=cols, nums=nums,
+                   dens=tuple(dens), _entries=entries)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
 
+    @property
+    def entries(self):
+        """The rows as tuples of Fractions."""
+        if self._entries is None:
+            _set_slots(self, _entries=tuple(
+                map(_fraction_row, self.nums, self.dens)))
+        return self._entries
+
     @staticmethod
     def identity(n):
-        return RatMatrix(
-            [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)],
-            cols=n,
-        )
+        return RatMatrix.from_integer_rows(
+            [[int(i == j) for j in range(n)] for i in range(n)], [1] * n, n)
 
     def row(self, i):
-        return self.entries[i]
+        return _fraction_row(self.nums[i], self.dens[i])
 
     def mul(self, other):
         if self.cols != other.rows:
@@ -98,10 +114,24 @@ class EchelonResult:
         self.rank = rank
 
 
-def _integer_row(frac_row):
-    """frac_row cleared by the lcm of its denominators: (ints, lcm)."""
-    den = lcm(*(x.denominator for x in frac_row))
-    return [x.numerator * (den // x.denominator) for x in frac_row], den
+def _integer_row(values):
+    """values (anything Fraction() accepts) cleared by the lcm of their
+    denominators: (ints, lcm), with gcd(lcm, *ints) == 1."""
+    values = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+              for x in values]
+    den = lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _set_slots(obj, **values):
+    """Assign slots of an immutable object while it is being built."""
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+
+
+def _fraction_row(nums, den):
+    """The tuple of Fractions nums[j] / den."""
+    return tuple(Fraction(x, den) for x in nums)
 
 
 def _lead(row, start, stop):
@@ -148,9 +178,8 @@ def echelon_reduce(m):
     """
     r, c = m.rows, m.cols
     rows = []
-    for i, frac_row in enumerate(m.entries):
-        ints, den = _integer_row(frac_row)
-        ints += [0] * r
+    for i, (row, den) in enumerate(zip(m.nums, m.dens)):
+        ints = list(row) + [0] * r
         ints[c + i] = den
         rows.append(ints)
     leads = [_lead(row, 0, c) for row in rows]
@@ -170,7 +199,7 @@ def echelon_reduce(m):
                 leads[i] = _lead(rows[i], p + 1, c)
                 changed = True
 
-    pivots, ech, tr = [], [], []
+    pivots, ech, tr, tr_dens = [], [], [], []
     for row, p in zip(rows, leads):
         if p < c:
             pivots.append(p)
@@ -182,17 +211,20 @@ def echelon_reduce(m):
         if row[p] < 0:
             g = -g
         ech.append([x // g for x in row[:c]])
-        tr.append([Fraction(x, g) for x in row[c:]])
+        tr.append(row[c:])
+        tr_dens.append(g)
     return EchelonResult(
-        RatMatrix(ech, cols=c), RatMatrix(tr, cols=r), pivots, len(pivots))
+        RatMatrix.from_integer_rows(ech, [1] * r, cols=c),
+        RatMatrix.from_integer_rows(tr, tr_dens, cols=r),
+        pivots, len(pivots))
 
 
 def pivot_columns(m):
     """Pivot columns of the reduced row echelon form, by one sweep over
     the rows.
 
-    Each row is cleared to integers; while its leading column already
-    holds a pivot row, that column is cancelled fraction-free and the
+    Each row is taken as its integer numerators; while its leading column
+    already holds a pivot row, that column is cancelled fraction-free and the
     content taken out.  A row that is not zero then becomes a new pivot.
     The pivot column set is algorithm-independent (column j is a pivot
     exactly when it enlarges the rank of the columns to its left), so this
@@ -203,8 +235,7 @@ def pivot_columns(m):
     """
     c = m.cols
     pivrows = {}
-    for frac_row in m.entries:
-        row, _ = _integer_row(frac_row)
+    for row in m.nums:
         p = _lead(row, 0, c)
         while p in pivrows:
             row = _cancel(row, pivrows[p], p)
@@ -219,19 +250,15 @@ def rank(m):
 
 
 def det_bareiss(m):
-    """Exact determinant by Bareiss fraction-free elimination after
-    clearing denominators rowwise."""
+    """Exact determinant by Bareiss fraction-free elimination on the
+    integer rows, divided by the product of the row denominators."""
     if m.rows != m.cols:
         raise ShapeError("determinant of a %dx%d matrix" % (m.rows, m.cols))
     n = m.rows
     if n == 0:
         return Fraction(1)
-    scale = 1
-    a = []
-    for frac_row in m.entries:
-        ints, den = _integer_row(frac_row)
-        scale *= den
-        a.append(ints)
+    scale = prod(m.dens)
+    a = [list(row) for row in m.nums]
     sign = 1
     prev = 1
     for k in range(n - 1):

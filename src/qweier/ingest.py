@@ -29,12 +29,13 @@ from .qseries import QSeries
 from .surface import SurfaceSignature
 from .weierstrass import CuspBasis, ModularFormRecord
 
-_RATIONAL = re.compile(r"-?\d+(/[1-9]\d*)?\Z")
+_RATIONAL = re.compile(r"(-?\d+)(?:/([1-9]\d*))?\Z")
 
 
 class BasisFile:
     """The raw contents of a QEXP file: the header values and, per form,
-    its label and coefficient list."""
+    its label and coefficient list (an int for an integer token, a
+    Fraction for an a/b token)."""
 
     __slots__ = ("level_label", "weight", "prec", "forms")
 
@@ -124,11 +125,13 @@ def parse_basis_file(text):
         tokens = line.split()
         coeffs = []
         for tok in tokens:
-            if not _RATIONAL.match(tok):
+            match = _RATIONAL.match(tok)
+            if not match:
                 raise ParseError(
                     "bad rational %r in form %r (use 'a' or 'a/b' with "
                     "b > 0)" % (tok, label), line=number)
-            coeffs.append(Fraction(tok))
+            num, den = match.groups()
+            coeffs.append(Fraction(int(num), int(den)) if den else int(num))
         if len(coeffs) != prec:
             raise ValidationError(
                 "form %r has %d coefficients on line %d, expected PREC = %d"

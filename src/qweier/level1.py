@@ -8,8 +8,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DependentInput, DomainError, NotInSpace, PrecisionError
-from .exactlinalg import RatMatrix, echelon_reduce
-from .qseries import QSeries
+from .exactlinalg import echelon_reduce
+from .qseries import QSeries, coefficient_matrix
 
 #: Exponent pair (alpha, beta) of a monomial E4^alpha * E6^beta.
 MonomialExponent = namedtuple("MonomialExponent", ["alpha", "beta"])
@@ -23,7 +23,7 @@ class Level1Form:
     def __init__(self, series, weight):
         if weight % 2 != 0 or weight < 0:
             raise DomainError("weight must be an even nonnegative integer")
-        if weight == 0 and any(c != 0 for c in series.coeffs[1:]):
+        if weight == 0 and any(series.nums[1:]):
             raise DomainError("weight 0 is reserved for constants")
         self.series = series
         self.weight = weight
@@ -51,14 +51,14 @@ def sigma(n, k):
 @lru_cache(maxsize=None)
 def eisenstein_e4(prec):
     """E4 = 1 + 240 * sum sigma_3(n) q^n, weight 4."""
-    coeffs = [Fraction(1)] + [Fraction(240 * sigma(n, 3)) for n in range(1, prec)]
+    coeffs = [1] + [240 * sigma(n, 3) for n in range(1, prec)]
     return Level1Form(QSeries(coeffs, prec), 4)
 
 
 @lru_cache(maxsize=None)
 def eisenstein_e6(prec):
     """E6 = 1 - 504 * sum sigma_5(n) q^n, weight 6."""
-    coeffs = [Fraction(1)] + [Fraction(-504 * sigma(n, 5)) for n in range(1, prec)]
+    coeffs = [1] + [-504 * sigma(n, 5) for n in range(1, prec)]
     return Level1Form(QSeries(coeffs, prec), 6)
 
 
@@ -148,9 +148,8 @@ def express_in_monomials(f):
             "need at least %d coefficients to certify membership, have %d"
             % (d + 1, prec)
         )
-    rows = [monomial_series(exp, prec).coeffs for exp in basis]
-    rows.append(f.series.coeffs)
-    result = echelon_reduce(RatMatrix(rows, cols=prec))
+    rows = [monomial_series(exp, prec) for exp in basis] + [f.series]
+    result = echelon_reduce(coefficient_matrix(rows, prec))
     if result.rank > d:
         raise NotInSpace(
             "not a weight-%d form of the full group at precision %d"

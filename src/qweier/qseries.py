@@ -3,44 +3,49 @@
 A QSeries stores the coefficients of q^0 ... q^(prec-1); the series is known
 modulo q^prec.  Precision is data: every operation computes the precision it
 can actually guarantee for its result, and comparisons should only ever be
-made on the common guaranteed range.  Coefficients are stored as
-fractions.Fraction -- no floating point anywhere.  Products run on integer
-numerators: each factor's window is cleared by the lcm of its denominators,
-the Cauchy product is taken over Python ints, and the result goes back to
-Fraction over the product of the two denominators only at the end.
+made on the common guaranteed range.  The coefficients are integer
+numerators `nums` over one denominator `den` > 0 in lowest terms
+(gcd(den, *nums) == 1), so equal series have equal (nums, den, prec), and
+every operation runs on Python ints -- no floating point anywhere.
+fractions.Fraction appears only at the edge: a caller's numbers are cleared
+to integers once, and `.coeffs` and `coeff` build Fractions on reading.
 
 Values are immutable after construction; all operations are pure functions.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (DivisionByZeroSeries, DomainError, PrecisionError,
                      ValuationError)
-from .exactlinalg import _integer_row
-
-#: Returned by valuation() when every stored coefficient vanishes.  Callers
-#: must read it as "valuation >= prec", not as a statement about the exact
-#: series.  It compares correctly with integers.
-INFINITE = float("inf")
+from .exactlinalg import RatMatrix, _fraction_row, _integer_row, _set_slots
 
 
 class QSeries:
     """An element of Q[[q]] known modulo q^prec."""
 
-    __slots__ = ("coeffs", "prec")
+    __slots__ = ("nums", "den", "prec", "_coeffs")
 
     def __init__(self, coeffs, prec=None):
-        coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        coeffs = list(coeffs)
         if prec is None:
             prec = len(coeffs)
         if prec < 0:
             raise DomainError("prec must be nonnegative")
-        if len(coeffs) < prec:
-            coeffs.extend([Fraction(0)] * (prec - len(coeffs)))
-        elif len(coeffs) > prec:
-            del coeffs[prec:]
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "prec", prec)
+        nums, den = _integer_row(coeffs[:prec])
+        nums += [0] * (prec - len(nums))
+        _set_slots(self, nums=tuple(nums), den=den, prec=prec, _coeffs=None)
+
+    @classmethod
+    def from_numerators(cls, nums, den=1):
+        """The series sum(nums[n] / den * q^n) known modulo q^len(nums);
+        den must be nonzero."""
+        g = -gcd(den, *nums) if den < 0 else gcd(den, *nums)
+        if g != 1:
+            nums, den = [x // g for x in nums], den // g
+        s = object.__new__(cls)
+        _set_slots(s, nums=tuple(nums), den=den, prec=len(nums), _coeffs=None)
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("QSeries is immutable")
@@ -49,21 +54,28 @@ class QSeries:
 
     @staticmethod
     def zero(prec):
-        return QSeries([], prec)
+        return QSeries.from_numerators([0] * prec)
 
     @staticmethod
     def one(prec):
-        return QSeries([Fraction(1)], prec)
+        return QSeries.monomial(1, 0, prec)
 
     @staticmethod
     def monomial(c, n, prec):
         """c * q^n as a series of the given precision."""
-        coeffs = [Fraction(0)] * prec
+        coeffs = [0] * prec
         if 0 <= n < prec:
-            coeffs[n] = Fraction(c)
+            coeffs[n] = c
         return QSeries(coeffs, prec)
 
     # -- basic queries -------------------------------------------------
+
+    @property
+    def coeffs(self):
+        """The coefficients of q^0 ... q^(prec-1) as a tuple of Fractions."""
+        if self._coeffs is None:
+            _set_slots(self, _coeffs=_fraction_row(self.nums, self.den))
+        return self._coeffs
 
     def coeff(self, n):
         """Coefficient of q^n; n must be inside the stored window."""
@@ -72,25 +84,17 @@ class QSeries:
                 "coefficient of q^%d requested but series is only known mod q^%d"
                 % (n, self.prec)
             )
-        return self.coeffs[n]
+        return Fraction(self.nums[n], self.den)
 
     def is_zero(self):
         """True when every stored coefficient vanishes."""
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def valuation(self):
-        """Index of the first nonzero coefficient, or INFINITE if none is
-        stored.  INFINITE only certifies valuation >= prec."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return INFINITE
-
-    def leading_coefficient(self):
-        v = self.valuation()
-        if v == INFINITE:
-            raise DivisionByZeroSeries("series is zero at its stored precision")
-        return self.coeffs[int(v)]
+        """Index of the first nonzero coefficient, or None when every
+        stored coefficient vanishes: the series is then only known to have
+        valuation >= prec."""
+        return next((i for i, x in enumerate(self.nums) if x), None)
 
     def truncated(self, prec):
         """The same series known modulo q^prec (prec <= self.prec)."""
@@ -98,51 +102,49 @@ class QSeries:
             raise PrecisionError(
                 "cannot extend precision from %d to %d" % (self.prec, prec)
             )
-        return QSeries(self.coeffs[:prec], prec)
+        return QSeries.from_numerators(self.nums[:prec], self.den)
 
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        prec = min(self.prec, other.prec)
-        return QSeries(
-            [self.coeffs[n] + other.coeffs[n] for n in range(prec)], prec
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """self + sign * other on the common precision."""
         if not isinstance(other, QSeries):
             return NotImplemented
         prec = min(self.prec, other.prec)
-        return QSeries(
-            [self.coeffs[n] - other.coeffs[n] for n in range(prec)], prec
-        )
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        return QSeries.from_numerators(
+            [fa * x + fb * y
+             for x, y in zip(self.nums[:prec], other.nums[:prec])], den)
 
     def __neg__(self):
-        return QSeries([-c for c in self.coeffs], self.prec)
+        return QSeries.from_numerators([-x for x in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         if not isinstance(other, QSeries):
             return NotImplemented
-        # Schoolbook Cauchy product on integer numerators.  Both factors
-        # have valuation >= 0 by representation, so the product of the
-        # stored windows determines the result on the smaller window.
+        # Schoolbook Cauchy product on the integer numerators.  Both
+        # factors have valuation >= 0 by representation, so the product of
+        # the stored windows determines the result on the smaller window.
         prec = min(self.prec, other.prec)
-        a, da = _integer_row(self.coeffs[:prec])
-        b, db = _integer_row(other.coeffs[:prec])
-        nonzero_b = [(j, x) for j, x in enumerate(b) if x]
+        nonzero_b = [(j, x) for j, x in enumerate(other.nums[:prec]) if x]
         out = [0] * prec
-        for i, ai in enumerate(a):
+        for i, ai in enumerate(self.nums[:prec]):
             if ai:
                 stop = prec - i
                 for j, bj in nonzero_b:
                     if j >= stop:
                         break
                     out[i + j] += ai * bj
-        den = da * db
-        return QSeries([Fraction(x, den) for x in out], prec)
+        return QSeries.from_numerators(out, self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -150,8 +152,9 @@ class QSeries:
         return NotImplemented
 
     def scaled(self, c):
-        c = Fraction(c)
-        return QSeries([c * x for x in self.coeffs], self.prec)
+        c = c if isinstance(c, (int, Fraction)) else Fraction(c)
+        return QSeries.from_numerators(
+            [c.numerator * x for x in self.nums], self.den * c.denominator)
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
@@ -168,18 +171,15 @@ class QSeries:
 
     def q_derive(self):
         """Apply q*d/dq: the coefficient of q^n becomes n*a_n."""
-        return QSeries(
-            [n * c for n, c in enumerate(self.coeffs)], self.prec
-        )
+        return QSeries.from_numerators(
+            [n * x for n, x in enumerate(self.nums)], self.den)
 
     def shifted(self, j):
         """Multiply by q^j (j >= 0).  The monomial q^j is exact, so the
         result is known modulo q^(prec+j)."""
         if j < 0:
             raise DomainError("shift must be nonnegative")
-        return QSeries(
-            [Fraction(0)] * j + list(self.coeffs), self.prec + j
-        )
+        return QSeries.from_numerators((0,) * j + self.nums, self.den)
 
     def exact_div(self, b):
         """Series division a/b, contracting precision by valuation(b).
@@ -190,39 +190,42 @@ class QSeries:
         """
         if not isinstance(b, QSeries):
             raise TypeError("divisor must be a QSeries")
-        if b.is_zero():
+        vb = b.valuation()
+        if vb is None:
             raise DivisionByZeroSeries(
                 "divisor is identically zero modulo q^%d" % b.prec
             )
-        vb = int(b.valuation())
         va = self.valuation()
-        if va != INFINITE and int(va) < vb:
+        if va is not None and va < vb:
             raise ValuationError(
-                "divisor has valuation %d but dividend only %d" % (vb, int(va))
+                "divisor has valuation %d but dividend only %d" % (vb, va)
             )
         prec = min(self.prec, b.prec) - vb
-        # Strip the common q^vb factor, then divide by a unit.
-        num = self.coeffs[vb : vb + prec]
-        den = b.coeffs[vb : vb + prec]
-        lead = den[0]
-        out = [Fraction(0)] * prec
+        # Long division of the numerators A by the unit U = b.nums[vb:] on
+        # integers: the n-th quotient coefficient is C_n / u0^(n+1), with
+        # C_n = A_n u0^n - sum_k C_(n-k) U_k u0^(k-1).  Then a/b =
+        # (b.den / a.den) * A/U, over the one denominator a.den * u0^prec.
+        num, unit = self.nums[vb:], b.nums[vb:vb + prec]
+        u0 = unit[0]
+        terms = [(k, x * u0 ** (k - 1)) for k, x in enumerate(unit) if k and x]
+        out = []
         for n in range(prec):
-            s = num[n] if n < len(num) else Fraction(0)
-            for k in range(n):
-                if out[k] != 0 and den[n - k] != 0:
-                    s -= out[k] * den[n - k]
-            out[n] = s / lead
-        return QSeries(out, prec)
+            out.append(num[n] * u0 ** n
+                       - sum(out[n - k] * t for k, t in terms if k <= n))
+        return QSeries.from_numerators(
+            [b.den * x * u0 ** (prec - 1 - n) for n, x in enumerate(out)],
+            self.den * u0 ** prec)
 
     # -- comparison and display ------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.prec == other.prec and self.coeffs == other.coeffs
+        return (self.prec == other.prec and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.coeffs, self.prec))
+        return hash((self.nums, self.den, self.prec))
 
     def agrees_with(self, other, prec=None):
         """Coefficientwise equality on the common guaranteed range (or on
@@ -235,7 +238,9 @@ class QSeries:
                     % (prec, common)
                 )
             common = prec
-        return self.coeffs[:common] == other.coeffs[:common]
+        da, db = self.den, other.den
+        return all(x * db == y * da for x, y in
+                   zip(self.nums[:common], other.nums[:common]))
 
     def qstring(self, max_terms=None):
         """Human-readable expansion like 'q - 24*q^2 + 252*q^3 + O(q^60)'."""
@@ -267,6 +272,8 @@ class QSeries:
         return "QSeries(%s)" % self.qstring(max_terms=6)
 
 
-def from_integers(ints, prec=None):
-    """Convenience constructor from an integer coefficient list."""
-    return QSeries([Fraction(c) for c in ints], prec)
+def coefficient_matrix(series, prec):
+    """The matrix whose rows are the first prec coefficients of each
+    series, handed over as integer rows."""
+    return RatMatrix.from_integer_rows(
+        [s.nums[:prec] for s in series], [s.den for s in series], cols=prec)

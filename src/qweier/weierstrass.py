@@ -22,8 +22,8 @@ cusp equals the sum of the gap sequence, and the cusp is an
 
 from .errors import (DomainError, HyperellipticUnsupported, PrecisionError,
                      RankDeficit, ValidationError)
-from .exactlinalg import RatMatrix, echelon_reduce, pivot_columns
-from .qseries import QSeries
+from .exactlinalg import echelon_reduce, pivot_columns
+from .qseries import QSeries, coefficient_matrix
 from .surface import (HYPERELLIPTIC, NOT_HYPERELLIPTIC, _require_even_weight,
                       dim_s_h)
 from .wronskian import wronskian_valuation
@@ -74,7 +74,7 @@ class CuspBasis:
             raise ValidationError(
                 "forms carry inconsistent precisions %s" % sorted(precs))
         for f in forms:
-            if f.series.prec >= 1 and f.series.coeff(0) != 0:
+            if f.series.prec >= 1 and f.series.nums[0]:
                 raise ValidationError(
                     "form %r has a nonzero constant term; basis forms must be "
                     "cusp forms" % f.label)
@@ -195,7 +195,7 @@ def _extend_monomials(fs, i, rem, prefix, vec, out):
 
 def _monomial_matrix(basis, m):
     mono = monomials(basis, m)
-    return mono, RatMatrix([list(s.coeffs) for _, s in mono], cols=basis.prec)
+    return mono, coefficient_matrix([s for _, s in mono], basis.prec)
 
 
 def subspace_dimension(basis, m):
@@ -253,7 +253,8 @@ def weierstrass_test(basis, m, sig, hyperelliptic_status=NOT_HYPERELLIPTIC):
     expected = list(range(m // 2, m // 2 + t))
     is_weierstrass = not (rank == t and pivots == expected)
     rows = [
-        QSeries(result.echelon.row(i), basis.prec) for i in range(rank)
+        QSeries.from_numerators(result.echelon.nums[i], result.echelon.dens[i])
+        for i in range(rank)
     ]
     combinations = [tuple(result.transform.row(i)) for i in range(rank)]
     return WeierstrassReport(

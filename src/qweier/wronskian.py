@@ -19,8 +19,8 @@ is certified from very few terms of the reduced determinant.
 from fractions import Fraction
 
 from .errors import DependentInput, DomainError, EmptyInput, PrecisionError
-from .exactlinalg import RatMatrix, det_bareiss, pivot_columns
-from .qseries import INFINITE, QSeries
+from .exactlinalg import pivot_columns
+from .qseries import QSeries, coefficient_matrix
 
 
 class WronskianOutput:
@@ -77,15 +77,21 @@ def scalar_exponent(k):
 
 
 def _theta_tower(series, valuation_shift, height):
-    """[(v + q d/dq)^i g for i in range(height)] for g = series, v = shift."""
+    """[(v + q d/dq)^i g for i in range(height)] for g = series, v = shift.
+    (v + q d/dq) multiplies the coefficient of q^n by v + n."""
     out = [series]
     for _ in range(height - 1):
         prev = out[-1]
-        step = prev.q_derive()
-        if valuation_shift:
-            step = step + prev.scaled(valuation_shift)
-        out.append(step)
+        out.append(QSeries.from_numerators(
+            [(valuation_shift + n) * x for n, x in enumerate(prev.nums)],
+            prev.den))
     return out
+
+
+def _lowered(x, v):
+    """x / q^v for a series x of valuation >= v, known modulo
+    q^(x.prec - v)."""
+    return QSeries.from_numerators(x.nums[v:], x.den)
 
 
 def _det_series(rows, prec):
@@ -106,8 +112,11 @@ def _det_series(rows, prec):
     shift = 0
     units = []
     for c in range(k):
-        v, i, j = min((a[i][j].valuation(), i, j)
-                      for i in range(c, k) for j in range(c, k))
+        # An entry that vanishes modulo q^prec (valuation None) is never
+        # a pivot; a block of such entries counts as valuation prec.
+        v, i, j = min(((v, i, j) for i in range(c, k) for j in range(c, k)
+                       for v in (a[i][j].valuation(),) if v is not None),
+                      default=(prec, c, c))
         if shift + v * (k - c) >= prec:
             # Every later pivot has valuation >= v, so the determinant
             # vanishes modulo q^prec.
@@ -119,25 +128,23 @@ def _det_series(rows, prec):
             for row in a[c:]:
                 row[c], row[j] = row[j], row[c]
             sign = -sign
-        low = prec - v
-        unit = QSeries(a[c][c].coeffs[v:], low)
-        inverse = QSeries.one(low).exact_div(unit)
-        pivot_row = [(j, QSeries(x.coeffs[v:], low))
+        unit = _lowered(a[c][c], v)
+        inverse = QSeries.one(prec - v).exact_div(unit)
+        pivot_row = [(j, _lowered(x, v))
                      for j, x in enumerate(a[c][c + 1:], start=c + 1)
                      if not x.is_zero()]
         for row in a[c + 1:]:
-            m = QSeries(row[c].coeffs[v:], low) * inverse
+            m = _lowered(row[c], v) * inverse
             if m.is_zero():
                 continue
             for j, b in pivot_row:
                 row[j] = row[j] - (m * b).shifted(v)
         units.append(unit)
         shift += v
-    det = QSeries.one(prec - shift)
+    det = QSeries.monomial(sign, 0, prec - shift)
     for unit in units:
         det = det * unit
-    det = det.shifted(shift)
-    return -det if sign < 0 else det
+    return det.shifted(shift)
 
 
 def _reduced_columns(fs, vals, height, prec):
@@ -152,7 +159,8 @@ def _reduced_columns(fs, vals, height, prec):
     coefficients the caller reads are computed.
     """
     return [
-        _theta_tower(QSeries(f.coeffs[v:v + prec], prec), v, height)
+        _theta_tower(QSeries.from_numerators(f.nums[v:v + prec], f.den), v,
+                     height)
         for f, v in zip(fs, vals)
     ]
 
@@ -174,7 +182,7 @@ def q_wronskian(fs, m):
     if k == 1:
         return WronskianOutput(fs[0], 1, m)
     vals = [f.valuation() for f in fs]
-    if INFINITE in vals:
+    if None in vals:
         # A column is zero modulo the stored precision, hence so is the
         # determinant.
         return WronskianOutput(QSeries.zero(prec), k, m)
@@ -194,8 +202,9 @@ def wronskian_valuation(fs):
 
     Returns sum(v_j) + valuation(reduced determinant).  The reduced
     determinant is probed modulo q^1, q^4, q^16, ... up to the working
-    precision min(prec) - max(v_j); each probe builds the derivative
-    towers only to the precision it reads.  Raises PrecisionError when the
+    precision min(prec) - max(v_j).  Modulo q^1 it is read off the
+    valuations (see below); each later probe builds the derivative towers
+    only to the precision it reads.  Raises PrecisionError when the
     reduced determinant vanishes at the working precision (the valuation
     cannot be certified), and DependentInput when an input is zero at its
     stored precision.
@@ -207,41 +216,32 @@ def wronskian_valuation(fs):
     fs = [f.truncated(prec) for f in fs]
     if k == 1:
         v = fs[0].valuation()
-        if v == INFINITE:
+        if v is None:
             raise PrecisionError(
                 "series is zero modulo q^%d; valuation not certifiable" % prec
             )
-        return int(v)
+        return v
     vals = [f.valuation() for f in fs]
-    if INFINITE in vals:
+    if None in vals:
         raise DependentInput(
             "an input vanishes at its stored precision: the list is either "
             "linearly dependent or the precision is insufficient"
         )
     shift = sum(vals)
+    if len(set(vals)) == k:
+        # The constant term of the reduced determinant is the Vandermonde
+        # determinant of the v_j times the product of the leading
+        # coefficients, nonzero exactly when the v_j are pairwise distinct.
+        return shift
     working = prec - max(vals)
-    # With pairwise distinct valuations the constant term of the reduced
-    # determinant is a Vandermonde multiple of the leading coefficients,
-    # so the first probe almost always settles it.
     probe = 1
-    while probe <= working:
-        columns = _reduced_columns(fs, vals, k, probe)
-        if probe == 1:
-            constant = RatMatrix(
-                [[columns[j][i].coeffs[0] for j in range(k)] for i in range(k)],
-                cols=k,
-            )
-            if det_bareiss(constant) != 0:
-                return shift
-        else:
-            rows = [[columns[j][i] for j in range(k)] for i in range(k)]
-            det = _det_series(rows, probe)
-            v = det.valuation()
-            if v != INFINITE:
-                return shift + int(v)
-        if probe == working:
-            break
+    while probe < working:
         probe = min(probe * 4, working)
+        columns = _reduced_columns(fs, vals, k, probe)
+        rows = [[columns[j][i] for j in range(k)] for i in range(k)]
+        v = _det_series(rows, probe).valuation()
+        if v is not None:
+            return shift + v
     raise PrecisionError(
         "reduced Wronskian determinant vanishes modulo q^%d: inputs are "
         "either linearly dependent or the precision is insufficient" % working
@@ -255,8 +255,7 @@ def span_valuations(fs):
     if k == 0:
         raise EmptyInput("span of an empty list")
     prec = min(f.prec for f in fs)
-    matrix = RatMatrix([list(f.coeffs[:prec]) for f in fs], cols=prec)
-    pivots = pivot_columns(matrix)
+    pivots = pivot_columns(coefficient_matrix(fs, prec))
     if len(pivots) < k:
         raise DependentInput(
             "echelon rank %d < %d inputs: the series are either linearly "
@@ -272,13 +271,13 @@ def cusp_order_identity_check(fs, m):
     linearly independent forms."""
     w = q_wronskian(fs, m)
     lhs = w.series.valuation()
-    if lhs == INFINITE:
+    if lhs is None:
         raise PrecisionError(
             "q-Wronskian vanishes modulo q^%d; increase the input precision"
             % w.series.prec
         )
     rhs = span_valuations(fs).total
-    return int(lhs), rhs, int(lhs) == rhs
+    return lhs, rhs, lhs == rhs
 
 
 def elliptic_wronskian_order(span_total, k, e):

@@ -1,11 +1,12 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from qweier.errors import (DivisionByZeroSeries, DomainError, PrecisionError,
                            ValuationError)
-from qweier.qseries import INFINITE, QSeries
+from qweier.qseries import QSeries
 
 
 def qs(*coeffs, prec=None):
@@ -132,8 +133,9 @@ def test_q_derive_constant_is_zero():
 
 
 def test_valuation_of_zero_is_infinite():
-    assert QSeries.zero(10).valuation() == INFINITE
-    assert INFINITE > 10 ** 9
+    # None: every stored coefficient vanishes, so valuation >= prec.
+    assert QSeries.zero(10).valuation() is None
+    assert qs(0, 0, prec=2).valuation() is None
 
 
 def test_valuation_examples():
@@ -248,7 +250,7 @@ def test_q_derive_is_a_derivation(a, b):
 def test_valuation_adds_under_mul(a, b):
     va, vb = a.valuation(), b.valuation()
     prod = a * b
-    if va == INFINITE or vb == INFINITE or va + vb >= prod.prec:
+    if va is None or vb is None or va + vb >= prod.prec:
         return
     # Q has no zero divisors, so the leading terms cannot cancel.
     assert prod.valuation() == va + vb
@@ -258,7 +260,126 @@ def test_valuation_adds_under_mul(a, b):
 def test_exact_div_round_trip(a, b):
     vb = b.valuation()
     va = a.valuation()
-    if vb == INFINITE or (va != INFINITE and va < vb):
+    if vb is None or (va is not None and va < vb):
         return
     c = a.exact_div(b)
     assert (b * c).agrees_with(a, prec=c.prec)
+
+
+# -- integer representation against a Fraction reference -------------------
+#
+# QSeries keeps integer numerators over one denominator.  The reference
+# below works on plain tuples of Fractions, the representation QSeries had
+# before; every operation must agree with it coefficient by coefficient.
+
+
+def _reference_exact_div(a, b):
+    """The Fraction long division QSeries.exact_div used before it ran on
+    integers: a and b are coefficient tuples; returns the quotient's."""
+    vb = next(i for i, c in enumerate(b) if c != 0)
+    prec = min(len(a), len(b)) - vb
+    num, den = a[vb:vb + prec], b[vb:vb + prec]
+    out = [F(0)] * prec
+    for n in range(prec):
+        s = num[n]
+        for k in range(n):
+            if out[k] != 0 and den[n - k] != 0:
+                s -= out[k] * den[n - k]
+        out[n] = s / den[0]
+    return tuple(out)
+
+
+@st.composite
+def series_with_reference(draw, min_prec=0, max_prec=8, valuation=0):
+    """(QSeries, its coefficients as a tuple of Fractions), built from a
+    list of ints and Fractions that may be shorter than prec."""
+    prec = draw(st.integers(min_value=max(min_prec, valuation),
+                            max_value=max_prec))
+    tail = draw(st.lists(small_rationals, max_size=prec - valuation))
+    values = [0] * valuation + [int(c) if c.denominator == 1 else c
+                                for c in tail]
+    ref = tuple(F(c) for c in values) + (F(0),) * (prec - len(values))
+    return QSeries(values, prec), ref
+
+
+@st.composite
+def divisors(draw):
+    """A divisor with a nonzero, usually non-unit, leading coefficient at
+    valuation 0..3, and its reference coefficients."""
+    v = draw(st.integers(min_value=0, max_value=3))
+    lead = draw(small_rationals.filter(lambda c: c != 0))
+    s, ref = draw(series_with_reference(min_prec=v + 1, valuation=v + 1))
+    ref = ref[:v] + (lead,) + ref[v + 1:]
+    return QSeries(ref, len(ref)), ref
+
+
+def _assert_canonical(s, ref):
+    assert s.prec == len(ref) == len(s.nums)
+    assert s.coeffs == ref
+    assert all(type(c) is F for c in s.coeffs)
+    assert s.den > 0 and gcd(s.den, *s.nums) == 1
+    if not any(ref):
+        assert s.den == 1
+    assert s == QSeries(ref, len(ref)) and hash(s) == hash(QSeries(ref))
+
+
+@given(series_with_reference(), series_with_reference(),
+       small_rationals, st.integers(min_value=0, max_value=3))
+def test_operations_match_fraction_reference(x, y, c, j):
+    (a, ra), (b, rb) = x, y
+    common = min(len(ra), len(rb))
+    _assert_canonical(a, ra)
+    _assert_canonical(a + b, tuple(u + w for u, w in zip(ra, rb)))
+    _assert_canonical(a - b, tuple(u - w for u, w in zip(ra, rb)))
+    _assert_canonical(-a, tuple(-u for u in ra))
+    _assert_canonical(a.scaled(c), tuple(c * u for u in ra))
+    _assert_canonical(a.q_derive(), tuple(n * u for n, u in enumerate(ra)))
+    _assert_canonical(a.shifted(j), (F(0),) * j + ra)
+    _assert_canonical(a.truncated(common), ra[:common])
+    assert a.agrees_with(b) == (ra[:common] == rb[:common])
+    assert a.agrees_with(QSeries(ra + (F(1, 7),)))
+    assert a.is_zero() == (not any(ra))
+    assert a.valuation() == next(
+        (n for n, u in enumerate(ra) if u != 0), None)
+    assert all(a.coeff(n) == ra[n] and type(a.coeff(n)) is F
+               for n in range(len(ra)))
+
+
+@given(divisors(), series_with_reference(max_prec=10),
+       st.integers(min_value=0, max_value=3))
+@example((qs(0, 3, 1, prec=4), (F(0), F(3), F(1), F(0))),
+         (qs(0, 3, 2, F(1, 2), prec=4), (F(0), F(3), F(2), F(1, 2))), 0)
+@example((qs(F(-2, 3), 5, prec=6), (F(-2, 3), F(5)) + (F(0),) * 4),
+         (QSeries.one(6), (F(1),) + (F(0),) * 5), 0)
+def test_exact_div_matches_fraction_reference(d, x, extra):
+    (b, rb), (a, ra) = d, x
+    vb = b.valuation()
+    # A dividend of valuation >= vb: shift it up when it is too low.
+    va = a.valuation()
+    if va is not None and va < vb:
+        a, ra = a.shifted(vb + extra), (F(0),) * (vb + extra) + ra
+    if min(len(ra), len(rb)) <= vb:
+        return
+    _assert_canonical(a.exact_div(b), _reference_exact_div(ra, rb))
+
+
+@given(series_with_reference(min_prec=1))
+def test_equal_series_built_by_different_routes_hash_alike(x):
+    a, ra = x
+    routes = [
+        QSeries([str(c) for c in ra], a.prec),
+        a.scaled(F(4, 6)).scaled(F(3, 2)),
+        a * QSeries.one(a.prec),
+        (a + a).scaled(F(1, 2)),
+        a.shifted(2).exact_div(qs(0, 0, F(2, 4), prec=a.prec + 2)).scaled(
+            F(1, 2)),
+    ]
+    for s in routes:
+        assert s == a and hash(s) == hash(a)
+
+
+def test_reduced_fraction_and_product_agree():
+    half = QSeries([F(2, 4)])
+    product = qs(F(1, 4)) * qs(2)
+    assert half == product and hash(half) == hash(product)
+    assert (half.nums, half.den) == (product.nums, product.den) == ((1,), 2)
