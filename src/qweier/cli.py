@@ -10,10 +10,13 @@ Subcommands:
                                         Weierstrass-point test at the cusp
 
 Exit codes: 0 on success, 1 on any engine error or a failed verification,
-2 on usage errors.  All output is deterministic for fixed inputs.
+and also, without a message, when the reader of standard output goes away
+early (`| head`); 2 on usage errors.  All output is deterministic for fixed
+inputs.
 """
 
 import argparse
+import os
 import re
 import sys
 
@@ -309,7 +312,8 @@ _HANDLERS = {
 def cli_dispatch(argv, out=None, err=None):
     """Run one CLI invocation and return its exit code.
 
-    Usage errors follow argparse convention and raise SystemExit(2).
+    Usage errors follow argparse convention and raise SystemExit(2).  A
+    BrokenPipeError from writing to out propagates: the caller owns out.
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -319,10 +323,20 @@ def cli_dispatch(argv, out=None, err=None):
     except QweierError as exc:
         err.write("error: %s\n" % exc)
         return 1
+    except BrokenPipeError:
+        raise
     except OSError as exc:
         err.write("error: %s\n" % exc)
         return 1
 
 
 def main():
-    sys.exit(cli_dispatch(sys.argv[1:]))
+    try:
+        code = cli_dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point it at devnull so the flush
+        # at interpreter exit does not fail again, and exit 1 quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

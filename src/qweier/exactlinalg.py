@@ -2,12 +2,15 @@
 
 A RatMatrix holds each row as integers over one denominator, cleared once
 by the lcm of its denominators or handed over as integers by the series
-layer; Fraction appears only in the `entries` view, `row`, and the value
-det_bareiss returns.  Two primitive integer rows are combined by
-cross-multiplication (b*x - a*y, with a and b the two entries to cancel
-over their gcd) and the result is divided by its content.  This is
-fraction-free elimination in the sense of Bareiss (1968); det_bareiss uses
-Bareiss's exact-division form.
+layer; Fraction appears only in the `entries` view, `row`, the
+coordinates of an echelon row on the input rows, and the value det_bareiss
+returns.  Two primitive integer rows are combined by cross-multiplication
+(b*x - a*y, with a and b the two entries to cancel over their gcd) and the
+result is divided by its content.  This is fraction-free elimination in
+the sense of Bareiss (1968); det_bareiss uses Bareiss's exact-division
+form.  Two schedules use it: the sorted one of echelon_reduce, which fixes
+the echelon rows, and one sweep over the rows, which finds pivot columns
+and writes row-space vectors on independent input rows.
 """
 
 from fractions import Fraction
@@ -98,20 +101,66 @@ class RatMatrix:
 
 
 class EchelonResult:
-    """Echelon form together with the transformation that produced it.
+    """Echelon form of a matrix, its pivots and rank, and on demand the
+    transformation that produced it.
 
-    transform * input = echelon exactly; transform is invertible; pivots
-    are the leading-entry columns of the nonzero rows, strictly increasing;
-    rank = number of nonzero rows.
+    pivots are the leading-entry columns of the nonzero echelon rows,
+    strictly increasing; rank = number of nonzero rows, which come first.
+    combinations() writes each nonzero echelon row as a combination of
+    `rank` independent input rows.  transform is an invertible r x r matrix
+    with transform * input = echelon exactly, derived on first read: its
+    first `rank` rows are those combinations, and each later row is an
+    exact relation among the inputs, e_j - (row j written on the
+    independent rows) for an input row j outside them, in increasing j,
+    as integers with content 1 and a positive leading entry.
     """
 
-    __slots__ = ("echelon", "transform", "pivots", "rank")
+    __slots__ = ("echelon", "pivots", "rank", "_source", "_transform")
 
-    def __init__(self, echelon, transform, pivots, rank):
+    def __init__(self, echelon, pivots, rank, source):
         self.echelon = echelon
-        self.transform = transform
         self.pivots = pivots
         self.rank = rank
+        self._source = source
+        self._transform = None
+
+    def combinations(self):
+        """For each nonzero echelon row, a tuple of input-row coefficients
+        (Fractions) whose combination of the input rows is that row.  All
+        are supported on the same `rank` independent input rows, so each is
+        a valid combination, not the unique one when rank < rows."""
+        m = self._source
+        basis = _independent_rows(m, self.pivots)
+        return [tuple(x) for x in _solve_on_pivots(
+            m, basis, self.pivots, self.echelon.nums[:self.rank])]
+
+    @property
+    def transform(self):
+        if self._transform is None:
+            self._transform = self._derive_transform()
+        return self._transform
+
+    def _derive_transform(self):
+        m, k = self._source, self.rank
+        basis = _independent_rows(m, self.pivots)
+        chosen = set(basis)
+        others = [j for j in range(m.rows) if j not in chosen]
+        coords = _solve_on_pivots(
+            m, basis, self.pivots,
+            self.echelon.nums[:k] + tuple(m.nums[j] for j in others))
+        nums, dens = [], []
+        for x in coords[:k]:
+            ints, den = _integer_row(x)
+            nums.append(ints)
+            dens.append(den)
+        for j, x in zip(others, coords[k:]):
+            # x writes m.nums[j], which is m.dens[j] times input row j.
+            x = [-v for v in x]
+            x[j] = m.dens[j]
+            ints, _ = _integer_row(x)
+            nums.append(_normalized(ints, _lead(ints, 0, m.rows)))
+            dens.append(1)
+        return RatMatrix.from_integer_rows(nums, dens, cols=m.rows)
 
 
 def _integer_row(values):
@@ -142,6 +191,14 @@ def _lead(row, start, stop):
     return stop
 
 
+def _normalized(row, p):
+    """The integer row divided by its content, with row[p] made positive."""
+    g = gcd(*row)
+    if row[p] < 0:
+        g = -g
+    return [x // g for x in row]
+
+
 def _cancel(x, y, p):
     """The primitive integer row b*x - a*y, where a = x[p] and b = y[p]
     are divided by their gcd, so that column p cancels."""
@@ -154,34 +211,27 @@ def _cancel(x, y, p):
 
 
 def echelon_reduce(m):
-    """Sorted fraction-free Gaussian elimination with transformation
-    tracking.
+    """Sorted fraction-free Gaussian elimination.
 
     Scheduling: repeatedly sort rows by leading-zero count (ties by
     original row index) and cancel the leading coefficient of every row
     sharing its pivot column with its predecessor; repeat to a fixed
-    point.  The rows are augmented integer rows [T*M | T]: row i starts as
-    den_i * [M_i | e_i], and each cancellation b*x - a*y is followed by
-    division by the content of the whole augmented row.
+    point.  The rows are the integer numerators of m, and each
+    cancellation b*x - a*y is followed by division by the row's content.
 
     The output does not depend on how the working rows are scaled.
     Leading-zero counts, tie-breaking and the cancellation pattern are
     scale-independent, and a cancellation is homogeneous of degree one in
     each of the two rows involved, so every working row stays a nonzero
     multiple of the row any other scaling (monic Fraction rows, say) would
-    hold.  The final normalization erases the leftover factor: the data
-    part becomes integers with content 1 and a positive leading entry,
-    and the transformation row is divided by the same factor.  A zero data
-    row keeps its transformation row, an exact linear relation among the
-    inputs, normalized to content 1 with a positive leading entry.  Zero
-    rows sort last.
+    hold.  The final normalization erases the leftover factor: each
+    nonzero row becomes integers with content 1 and a positive leading
+    entry.  Zero rows sort last.  The transformation is not carried
+    through the schedule; EchelonResult solves for it from independent
+    input rows when it is asked for.
     """
     r, c = m.rows, m.cols
-    rows = []
-    for i, (row, den) in enumerate(zip(m.nums, m.dens)):
-        ints = list(row) + [0] * r
-        ints[c + i] = den
-        rows.append(ints)
+    rows = list(m.nums)
     leads = [_lead(row, 0, c) for row in rows]
     orig = list(range(r))
 
@@ -199,50 +249,104 @@ def echelon_reduce(m):
                 leads[i] = _lead(rows[i], p + 1, c)
                 changed = True
 
-    pivots, ech, tr, tr_dens = [], [], [], []
+    pivots, ech = [], []
     for row, p in zip(rows, leads):
         if p < c:
             pivots.append(p)
-            g = gcd(*row[:c])
+            ech.append(_normalized(row, p))
         else:
-            # A zero data row: normalize its relation part instead.
-            p = _lead(row, c, c + r)
-            g = gcd(*row)
-        if row[p] < 0:
-            g = -g
-        ech.append([x // g for x in row[:c]])
-        tr.append(row[c:])
-        tr_dens.append(g)
-    return EchelonResult(
-        RatMatrix.from_integer_rows(ech, [1] * r, cols=c),
-        RatMatrix.from_integer_rows(tr, tr_dens, cols=r),
-        pivots, len(pivots))
+            ech.append([0] * c)
+    return EchelonResult(RatMatrix.from_integer_rows(ech, [1] * r, cols=c),
+                         pivots, len(pivots), m)
 
 
-def pivot_columns(m):
-    """Pivot columns of the reduced row echelon form, by one sweep over
-    the rows.
-
-    Each row is taken as its integer numerators; while its leading column
-    already holds a pivot row, that column is cancelled fraction-free and the
-    content taken out.  A row that is not zero then becomes a new pivot.
-    The pivot column set is algorithm-independent (column j is a pivot
-    exactly when it enlarges the rank of the columns to its left), so this
-    agrees with echelon_reduce(m).pivots while staying fast on tall
-    matrices: the sorted schedule re-scans rows every pass, which this
-    routine avoids.  Use echelon_reduce when the actual rows or the
-    transformation matter.
-    """
-    c = m.cols
-    pivrows = {}
-    for row in m.nums:
+def _sweep(rows, c, pivrows):
+    """Reduce each of rows in turn against pivrows, a dict {column:
+    primitive integer row}: while the row's leading column among its
+    first c entries holds a pivot row, that column is cancelled
+    fraction-free and the content taken out.  A row still nonzero on its
+    first c entries then opens a new pivot there.  Yields (leading column,
+    or c for a zero row, reduced row) for each row."""
+    for row in rows:
         p = _lead(row, 0, c)
         while p in pivrows:
             row = _cancel(row, pivrows[p], p)
             p = _lead(row, p + 1, c)
         if p < c:
             pivrows[p] = row
+        yield p, row
+
+
+def pivot_columns(m):
+    """Pivot columns of the reduced row echelon form, by one sweep over
+    the rows.
+
+    The pivot column set is algorithm-independent (column j is a pivot
+    exactly when it enlarges the rank of the columns to its left), so this
+    agrees with echelon_reduce(m).pivots while staying fast on tall
+    matrices: the sorted schedule re-scans rows every pass, which the
+    sweep avoids.  Use echelon_reduce when the actual rows or the
+    transformation matter.  The same sweep, on the pivot columns only,
+    picks the independent input rows that EchelonResult.combinations and
+    EchelonResult.transform are written on.
+    """
+    pivrows = {}
+    for _ in _sweep(m.nums, m.cols, pivrows):
+        pass
     return sorted(pivrows)
+
+
+def _independent_rows(m, pivots):
+    """Indices, increasing, of len(pivots) input rows of m that span its
+    row space, given its pivot columns: the rows that open a pivot in the
+    sweep.  A vector of the row space is determined by its entries on the
+    pivot columns, so the sweep reads only those and stops at the last
+    pivot."""
+    k = len(pivots)
+    pivrows, basis = {}, []
+    sub = ([row[p] for p in pivots] for row in m.nums)
+    for i, (p, _) in enumerate(_sweep(sub, k, pivrows)):
+        if p < k:
+            basis.append(i)
+            if len(basis) == k:
+                break
+    return basis
+
+
+def _solve_on_pivots(m, basis, pivots, targets):
+    """Each target, an integer row in the row space of m, written on the
+    input rows that basis indexes (from _independent_rows): per target,
+    m.rows Fractions, zero off basis, whose combination of the input rows
+    is the target.
+
+    The work is done on the pivot columns, which determine a vector of
+    the row space.  The sweep triangularizes the basis rows, each carrying
+    its coordinates on the basis; every target, carrying the same and its
+    own scale, is then reduced to zero against them.
+    """
+    k = len(pivots)
+    # After the k pivot entries each row carries coordinates on the
+    # numerator rows m.nums[basis], then a scale: a target row reads
+    # [scale * target + coords . m.nums[basis] | coords | scale].
+    pivrows = {}
+    carried = []
+    for s, i in enumerate(basis):
+        row = [m.nums[i][p] for p in pivots] + [0] * (k + 1)
+        row[k + s] = 1
+        carried.append(row)
+    for _ in _sweep(carried, k, pivrows):
+        pass
+    zero = Fraction(0)
+    coords = []
+    for _, row in _sweep(([b[p] for p in pivots] + [0] * k + [1]
+                          for b in targets), k, pivrows):
+        scale = row[-1]
+        x = [zero] * m.rows
+        for s, i in enumerate(basis):
+            if row[k + s]:
+                x[i] = Fraction(-row[k + s] * m.dens[i], scale)
+        coords.append(x)
+    return coords
 
 
 def rank(m):

@@ -184,8 +184,10 @@ class QSeries:
     def exact_div(self, b):
         """Series division a/b, contracting precision by valuation(b).
 
-        Requires valuation(b) <= valuation(a) and b nonzero at its stored
-        precision.  The result c satisfies b*c = a modulo
+        Requires valuation(b) <= valuation(a), b nonzero at its stored
+        precision, and min(a.prec, b.prec) > valuation(b), so that the
+        quotient has at least one known coefficient (PrecisionError
+        otherwise).  The result c satisfies b*c = a modulo
         q^(min(a.prec, b.prec) - valuation(b)).
         """
         if not isinstance(b, QSeries):
@@ -201,6 +203,10 @@ class QSeries:
                 "divisor has valuation %d but dividend only %d" % (vb, va)
             )
         prec = min(self.prec, b.prec) - vb
+        if prec < 1:
+            raise PrecisionError(
+                "the quotient by a divisor of valuation %d is unknown modulo "
+                "q^%d" % (vb, min(self.prec, b.prec)))
         # Long division of the numerators A by the unit U = b.nums[vb:] on
         # integers: the n-th quotient coefficient is C_n / u0^(n+1), with
         # C_n = A_n u0^n - sum_k C_(n-k) U_k u0^(k-1).  Then a/b =

@@ -105,10 +105,13 @@ class WeierstrassReport:
 
     gap_sequence lists the leading exponents attainable in the span of the
     degree-(m/2) monomials; rows are the echelon q-expansions realizing
-    them and combinations the corresponding coordinates in the monomial
-    list (same order as monomial_exponents).  is_weierstrass applies the
-    consecutive-exponent criterion; flags carry SPAN_NOT_GUARANTEED when
-    the verdict is not backed by a spanning argument.
+    them.  combinations[i] gives coefficients on the monomial list (same
+    order as monomial_exponents) whose combination is rows[i]; all of them
+    use the same `rank` linearly independent monomials, so each is a valid
+    combination, not the unique one when monomials outnumber the rank.
+    is_weierstrass applies the consecutive-exponent criterion; flags carry
+    SPAN_NOT_GUARANTEED when the verdict is not backed by a spanning
+    argument.
     """
 
     __slots__ = ("m", "expected_dim", "monomial_count", "rank",
@@ -256,7 +259,7 @@ def weierstrass_test(basis, m, sig, hyperelliptic_status=NOT_HYPERELLIPTIC):
         QSeries.from_numerators(result.echelon.nums[i], result.echelon.dens[i])
         for i in range(rank)
     ]
-    combinations = [tuple(result.transform.row(i)) for i in range(rank)]
+    combinations = result.combinations()
     return WeierstrassReport(
         m=m,
         expected_dim=t,

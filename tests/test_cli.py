@@ -267,3 +267,19 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0
     assert "dim S_4 = 12, dim S^H_4 = 6" in proc.stdout
+
+
+def test_closed_stdout_exits_1_without_a_message():
+    # A reader that leaves early, as `| head -2` does, is not an engine
+    # error.  Here the reader is gone before the child writes.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qweier", "weierstrass", FIX34,
+         "--weight", "4", "--level", "34"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""

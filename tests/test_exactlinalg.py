@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qweier.errors import ShapeError
-from qweier.exactlinalg import RatMatrix, det_bareiss, echelon_reduce, rank
+from qweier.exactlinalg import (RatMatrix, _independent_rows,
+                                _solve_on_pivots, det_bareiss, echelon_reduce,
+                                rank)
 
 
 def det_by_cofactors(m):
@@ -125,6 +127,55 @@ def test_pivot_set_invariant_under_row_permutation(m, rng):
     rng.shuffle(perm)
     shuffled = RatMatrix([m.entries[i] for i in perm], cols=m.cols)
     assert echelon_reduce(shuffled).pivots == echelon_reduce(m).pivots
+
+
+@st.composite
+def rank_deficient_matrices(draw):
+    """Rows drawn from the span of at most three base rows: combinations
+    with Fraction coefficients, copies of a base row, and zero rows, in
+    more rows than the base has."""
+    c = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=0, max_value=3))
+    base = draw(st.lists(st.lists(small_entries, min_size=c, max_size=c),
+                         min_size=k, max_size=k))
+    rows = []
+    for _ in range(draw(st.integers(min_value=k + 1, max_value=7))):
+        kind = draw(st.sampled_from(("mix", "copy", "zero")))
+        if kind == "zero" or not base:
+            rows.append([F(0)] * c)
+        elif kind == "copy":
+            rows.append(list(draw(st.sampled_from(base))))
+        else:
+            coeffs = draw(st.lists(small_entries, min_size=k, max_size=k))
+            rows.append([sum((a * b[j] for a, b in zip(coeffs, base)), F(0))
+                         for j in range(c)])
+    return RatMatrix(rows, cols=c)
+
+
+def _combine(coeffs, m):
+    return tuple(sum((x * row[j] for x, row in zip(coeffs, m.entries)), F(0))
+                 for j in range(m.cols))
+
+
+@given(rank_deficient_matrices(),
+       st.lists(st.integers(min_value=-5, max_value=5), min_size=7,
+                max_size=7))
+@settings(max_examples=150)
+def test_solve_writes_row_space_vectors_on_independent_rows(m, mix):
+    r = echelon_reduce(m)
+    # Targets: the echelon rows and one more integer vector of the row space.
+    extra = [sum(a * row[j] for a, row in zip(mix, m.nums))
+             for j in range(m.cols)]
+    targets = list(r.echelon.nums[:r.rank]) + [extra]
+    basis = _independent_rows(m, r.pivots)
+    coords = _solve_on_pivots(m, basis, r.pivots, targets)
+    assert len(basis) == r.rank
+    assert rank(RatMatrix([m.entries[i] for i in basis], cols=m.cols)) == r.rank
+    for target, x in zip(targets, coords):
+        assert len(x) == m.rows
+        assert all(x[i] == 0 for i in range(m.rows) if i not in basis)
+        assert _combine(x, m) == tuple(map(F, target))
+    assert r.combinations() == [tuple(x) for x in coords[:r.rank]]
 
 
 # -- rank ----------------------------------------------------------------------

@@ -186,6 +186,14 @@ def test_exact_div_zero_dividend_allowed():
     assert z.is_zero() and z.prec == 3
 
 
+def test_exact_div_without_a_known_quotient_coefficient():
+    # 0 mod q^2 divided by q^2 is unknown even at q^0.
+    with pytest.raises(PrecisionError):
+        QSeries.zero(2).exact_div(QSeries([0, 0, 1], 5))
+    with pytest.raises(PrecisionError):
+        QSeries.zero(1).exact_div(QSeries([0, 0, 1], 5))
+
+
 # -- shifted / truncated ------------------------------------------------------
 
 
@@ -261,6 +269,10 @@ def test_exact_div_round_trip(a, b):
     vb = b.valuation()
     va = a.valuation()
     if vb is None or (va is not None and va < vb):
+        return
+    if min(a.prec, b.prec) <= vb:
+        with pytest.raises(PrecisionError):
+            a.exact_div(b)
         return
     c = a.exact_div(b)
     assert (b * c).agrees_with(a, prec=c.prec)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 from fractions import Fraction as F
 from math import comb
@@ -310,6 +311,36 @@ def test_combinations_reproduce_the_rows():
         assert built == row
 
 
+#: sha256 of the echelon rows, one line of coefficients per row, for the
+#: two largest weight-10 cases; the sorted schedule fixes them.
+ROWS_SHA256 = {
+    (55, 10): "d75d21686dfa48da1c007dd3ced0658fc07e766a8a1f893cdaee99f5e2391609",
+    (60, 10): "71e96681d5faf70adbf685077fb207779e290b97a970aed59a887f3b298e70bd",
+}
+
+
+@pytest.mark.parametrize("level,m", sorted(ROWS_SHA256))
+def test_large_reports_keep_their_rows_and_rebuild_them(level, m):
+    basis = load_fixture(level)
+    report = run_fixture(level, m)
+    text = "\n".join(" ".join(map(str, r.coeffs)) for r in report.rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == ROWS_SHA256[level, m]
+    # Every combination lives on the same `rank` monomials and rebuilds
+    # its row exactly.
+    support = {j for combo in report.combinations
+               for j, c in enumerate(combo) if c}
+    assert len(support) <= report.rank
+    mono = [s for _, s in monomials(basis, m)]
+    for row, combo in zip(report.rows, report.combinations):
+        built = QSeries.zero(basis.prec)
+        for j in support:
+            if combo[j]:
+                built = built + mono[j].scaled(combo[j])
+        assert built == row
+    _, _, verdict = wronskian_criterion(report.rows, m)
+    assert verdict == report.is_weierstrass
+
+
 # -- basis invariance ---------------------------------------------------------
 
 
@@ -350,6 +381,34 @@ def test_wronskian_order_is_the_gap_total():
         report = run_fixture(level, m)
         order, _, _ = wronskian_criterion(report.rows, m)
         assert order == sum(report.gap_sequence)
+
+
+#: Ogg, "On the Weierstrass points of X_0(N)", Illinois J. Math. 22 (1978):
+#: if N = pM with p prime, p not dividing M, and X_0(M) of genus 0, then
+#: infinity is not a Weierstrass point of X_0(N).  Each covered fixture
+#: level maps to its (p, M).  54 = 2 * 27 is not covered, X_0(27) having
+#: genus 1, and there infinity is a Weierstrass point.
+OGG_NOT_WEIERSTRASS = {34: (17, 2), 35: (7, 5), 37: (37, 1), 38: (19, 2),
+                       44: (11, 4), 55: (11, 5), 60: (5, 12)}
+
+
+@pytest.mark.parametrize("level", sorted(OGG_NOT_WEIERSTRASS) + [54])
+def test_weight_two_verdicts_match_ogg(level):
+    if level in OGG_NOT_WEIERSTRASS:
+        p, cofactor = OGG_NOT_WEIERSTRASS[level]
+        assert p * cofactor == level and cofactor % p != 0
+        assert all(p % d for d in range(2, p))
+        assert gamma0_invariants(cofactor).signature.genus == 0
+    expected = level not in OGG_NOT_WEIERSTRASS
+    report = run_fixture(level, 2)
+    assert report.is_weierstrass is expected
+    # The Wronskian route on the stored basis, which spans S_2 = S^H_2.
+    order, bound, verdict = wronskian_criterion(
+        load_fixture(level).series_list(), 2)
+    assert verdict is expected
+    assert order == sum(report.gap_sequence)
+    if level == 54:
+        assert (order, bound) == (12, 11)
 
 
 def test_wronskian_criterion_rejects_empty_and_odd():
