@@ -284,7 +284,7 @@ def _build_parser():
     p_l1 = sub.add_parser("level1", help="full-modular-group checks")
     p_l1.add_argument("action", choices=["verify"])
     p_l1.add_argument("--tmax", type=positive_int, required=True, metavar="T")
-    p_l1.add_argument("--prec", type=int, default=40, metavar="P")
+    p_l1.add_argument("--prec", type=positive_int, default=40, metavar="P")
 
     p_wr = sub.add_parser("wronskian", help="q-Wronskian of a basis file")
     p_wr.add_argument("basisfile")

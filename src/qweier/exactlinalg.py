@@ -2,19 +2,19 @@
 
 A RatMatrix holds each row as integers over one denominator, cleared once
 by the lcm of its denominators or handed over as integers by the series
-layer; Fraction appears only in the `entries` view, `row`, the
-coordinates of an echelon row on the input rows, and the value det_bareiss
-returns.  Two primitive integer rows are combined by cross-multiplication
-(b*x - a*y, with a and b the two entries to cancel over their gcd) and the
-result is divided by its content.  This is fraction-free elimination in
-the sense of Bareiss (1968); det_bareiss uses Bareiss's exact-division
-form.  Two schedules use it: the sorted one of echelon_reduce, which fixes
-the echelon rows, and one sweep over the rows, which finds pivot columns
-and writes row-space vectors on independent input rows.
+layer; Fraction appears only in the `entries` view, `row` and the
+coordinates solve_on_rows returns.  Two primitive integer rows are
+combined by cross-multiplication (b*x - a*y, with a and b the two entries
+to cancel over their gcd) and the result is divided by its content: the
+fraction-free elimination of Bareiss (1968).  Two schedules use it: the
+sorted one of echelon_reduce, which fixes the echelon rows, and one sweep
+over the rows, which finds pivot columns (pivot_columns) and, in the one
+solve solve_on_rows, writes row-space vectors on independent input rows.
+Determinants of series matrices live in wronskian.
 """
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .errors import ShapeError
 
@@ -129,10 +129,11 @@ class EchelonResult:
         (Fractions) whose combination of the input rows is that row.  All
         are supported on the same `rank` independent input rows, so each is
         a valid combination, not the unique one when rank < rows."""
-        m = self._source
-        basis = _independent_rows(m, self.pivots)
-        return [tuple(x) for x in _solve_on_pivots(
-            m, basis, self.pivots, self.echelon.nums[:self.rank])]
+        k = self.rank
+        rows = RatMatrix.from_integer_rows(
+            self.echelon.nums[:k], [1] * k, self.echelon.cols)
+        _, coords = solve_on_rows(self._source, self.pivots, rows)
+        return [tuple(x) for x in coords]
 
     @property
     def transform(self):
@@ -142,24 +143,22 @@ class EchelonResult:
 
     def _derive_transform(self):
         m, k = self._source, self.rank
-        basis = _independent_rows(m, self.pivots)
-        chosen = set(basis)
-        others = [j for j in range(m.rows) if j not in chosen]
-        coords = _solve_on_pivots(
-            m, basis, self.pivots,
-            self.echelon.nums[:k] + tuple(m.nums[j] for j in others))
+        rows = RatMatrix.from_integer_rows(
+            self.echelon.nums[:k] + m.nums, [1] * k + list(m.dens), m.cols)
+        basis, coords = solve_on_rows(m, self.pivots, rows)
         nums, dens = [], []
         for x in coords[:k]:
             ints, den = _integer_row(x)
             nums.append(ints)
             dens.append(den)
-        for j, x in zip(others, coords[k:]):
-            # x writes m.nums[j], which is m.dens[j] times input row j.
-            x = [-v for v in x]
-            x[j] = m.dens[j]
-            ints, _ = _integer_row(x)
-            nums.append(_normalized(ints, _lead(ints, 0, m.rows)))
-            dens.append(1)
+        for j, x in enumerate(coords[k:]):
+            if j not in basis:
+                # x writes input row j on the basis: e_j - x is a relation.
+                x = [-v for v in x]
+                x[j] = 1
+                ints, _ = _integer_row(x)
+                nums.append(_normalized(ints, _lead(ints, 0, m.rows)))
+                dens.append(1)
         return RatMatrix.from_integer_rows(nums, dens, cols=m.rows)
 
 
@@ -285,10 +284,8 @@ def pivot_columns(m):
     exactly when it enlarges the rank of the columns to its left), so this
     agrees with echelon_reduce(m).pivots while staying fast on tall
     matrices: the sorted schedule re-scans rows every pass, which the
-    sweep avoids.  Use echelon_reduce when the actual rows or the
-    transformation matter.  The same sweep, on the pivot columns only,
-    picks the independent input rows that EchelonResult.combinations and
-    EchelonResult.transform are written on.
+    sweep avoids.  Use echelon_reduce when the actual rows matter, and
+    solve_on_rows to write a vector of the row space on input rows.
     """
     pivrows = {}
     for _ in _sweep(m.nums, m.cols, pivrows):
@@ -296,12 +293,22 @@ def pivot_columns(m):
     return sorted(pivrows)
 
 
-def _independent_rows(m, pivots):
-    """Indices, increasing, of len(pivots) input rows of m that span its
-    row space, given its pivot columns: the rows that open a pivot in the
-    sweep.  A vector of the row space is determined by its entries on the
-    pivot columns, so the sweep reads only those and stops at the last
-    pivot."""
+def solve_on_rows(m, pivots, targets):
+    """Write vectors of the row space of m on independent input rows.
+
+    pivots are the pivot columns of m, and targets is a RatMatrix whose
+    rows lie in the row space of m.  Returns (basis, coords): basis holds
+    the indices, increasing, of len(pivots) input rows that span the row
+    space, and coords[t] holds m.rows Fractions, zero off basis, whose
+    combination of the input rows is row t of targets.
+
+    A vector of the row space is determined by its entries on the pivot
+    columns, so the work is done there, in two sweeps.  The first picks
+    as basis the rows that open a pivot and stops at the last pivot.  The
+    second triangularizes the basis rows, each carrying its coordinates
+    on the basis; every target, carrying the same and its own scale, is
+    then reduced to zero against them.
+    """
     k = len(pivots)
     pivrows, basis = {}, []
     sub = ([row[p] for p in pivots] for row in m.nums)
@@ -310,21 +317,6 @@ def _independent_rows(m, pivots):
             basis.append(i)
             if len(basis) == k:
                 break
-    return basis
-
-
-def _solve_on_pivots(m, basis, pivots, targets):
-    """Each target, an integer row in the row space of m, written on the
-    input rows that basis indexes (from _independent_rows): per target,
-    m.rows Fractions, zero off basis, whose combination of the input rows
-    is the target.
-
-    The work is done on the pivot columns, which determine a vector of
-    the row space.  The sweep triangularizes the basis rows, each carrying
-    its coordinates on the basis; every target, carrying the same and its
-    own scale, is then reduced to zero against them.
-    """
-    k = len(pivots)
     # After the k pivot entries each row carries coordinates on the
     # numerator rows m.nums[basis], then a scale: a target row reads
     # [scale * target + coords . m.nums[basis] | coords | scale].
@@ -338,47 +330,17 @@ def _solve_on_pivots(m, basis, pivots, targets):
         pass
     zero = Fraction(0)
     coords = []
-    for _, row in _sweep(([b[p] for p in pivots] + [0] * k + [1]
-                          for b in targets), k, pivrows):
-        scale = row[-1]
+    for (_, row), den in zip(_sweep(([b[p] for p in pivots] + [0] * k + [1]
+                                     for b in targets.nums), k, pivrows),
+                             targets.dens):
+        scale = row[-1] * den
         x = [zero] * m.rows
         for s, i in enumerate(basis):
             if row[k + s]:
                 x[i] = Fraction(-row[k + s] * m.dens[i], scale)
         coords.append(x)
-    return coords
+    return basis, coords
 
 
 def rank(m):
     return len(pivot_columns(m))
-
-
-def det_bareiss(m):
-    """Exact determinant by Bareiss fraction-free elimination on the
-    integer rows, divided by the product of the row denominators."""
-    if m.rows != m.cols:
-        raise ShapeError("determinant of a %dx%d matrix" % (m.rows, m.cols))
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    scale = prod(m.dens)
-    a = [list(row) for row in m.nums]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - aik * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return Fraction(sign * a[n - 1][n - 1], scale)

@@ -8,10 +8,11 @@ The format is plain UTF-8 text: a five-line header
     PREC <P>
     FORMS <k>
 
-followed by k blocks of two lines each: ``FORM <label>`` and one line of P
-space-separated rationals (``a`` or ``a/b`` with b > 0), the coefficients
-of q^0 ... q^(P-1).  Lines starting with ``#`` are comments and blank
-lines are skipped; everything else must appear in exactly this order.
+followed by k blocks of two lines each: ``FORM <label>`` and one line of
+P space-separated rationals (``a`` or ``a/b`` with b > 0), the
+coefficients of q^0 ... q^(P-1), with P >= 1.  Lines starting with ``#``
+are comments and blank lines are skipped; everything else must appear in
+exactly this order.
 
 A signature file has lines ``GENUS g``, ``CUSPS t`` and optionally
 ``ELLIPTIC e1 e2 ...``, with the same comment and blank-line rules.
@@ -40,6 +41,8 @@ class BasisFile:
     __slots__ = ("level_label", "weight", "prec", "forms")
 
     def __init__(self, level_label, weight, prec, forms):
+        if prec < 1:
+            raise ValidationError("PREC must be >= 1, got %d" % prec)
         forms = [(label, list(coeffs)) for label, coeffs in forms]
         for label, coeffs in forms:
             if len(coeffs) != prec:
@@ -112,7 +115,7 @@ def parse_basis_file(text):
             "not a QEXP file: first line must be 'QEXP 1'", line=number)
     _, level_label = _keyword_line(lines, "LEVEL")
     weight = _int_header(lines, "WEIGHT", 0)
-    prec = _int_header(lines, "PREC", 0)
+    prec = _int_header(lines, "PREC", 1)
     count = _int_header(lines, "FORMS", 0)
     forms = []
     for _ in range(count):

@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DependentInput, DomainError, NotInSpace, PrecisionError
-from .exactlinalg import echelon_reduce
+from .exactlinalg import pivot_columns, solve_on_rows
 from .qseries import QSeries, coefficient_matrix
 
 #: Exponent pair (alpha, beta) of a monomial E4^alpha * E6^beta.
@@ -132,13 +132,12 @@ def express_in_monomials(f):
     """Write a weight-m form as a rational combination of the monomials
     E4^a E6^b, 4a + 6b = m.
 
-    Every stored coefficient takes part: the matrix with the monomials and
-    then f as rows is echelon-reduced.  Full rank means f is outside the
-    span at this precision (NotInSpace); otherwise the zero row's
-    transformation row is a relation sum(l_j * monomial_j) + l_f * f = 0,
-    and the coefficients are -l_j / l_f.  Returns the list of
-    (MonomialExponent, coefficient) pairs with nonzero coefficient, in
-    m_basis order.
+    Every stored coefficient takes part.  The matrix with the monomials
+    and then f as rows has rank d + 1 when f is outside the span at this
+    precision (NotInSpace).  Otherwise, when the monomials are independent
+    (DependentInput if not), solve_on_rows writes f on them.  Returns the
+    list of (MonomialExponent, coefficient) pairs with nonzero
+    coefficient, in m_basis order.
     """
     basis = m_basis(f.weight)
     d = len(basis)
@@ -149,18 +148,19 @@ def express_in_monomials(f):
             % (d + 1, prec)
         )
     rows = [monomial_series(exp, prec) for exp in basis] + [f.series]
-    result = echelon_reduce(coefficient_matrix(rows, prec))
-    if result.rank > d:
+    matrix = coefficient_matrix(rows, prec)
+    pivots = pivot_columns(matrix)
+    if len(pivots) > d:
         raise NotInSpace(
             "not a weight-%d form of the full group at precision %d"
             % (f.weight, prec)
         )
-    *relation, lam_f = result.transform.row(d)
-    if result.rank < d or lam_f == 0:
+    independent, (coeffs,) = solve_on_rows(
+        matrix, pivots, coefficient_matrix([f.series], prec))
+    if independent != list(range(d)):
         raise DependentInput(
             "the weight-%d monomials are linearly dependent modulo q^%d: "
             "either truly dependent or the precision is too low"
             % (f.weight, prec)
         )
-    coeffs = [-lam / lam_f for lam in relation]
     return [(basis[j], coeffs[j]) for j in range(d) if coeffs[j] != 0]

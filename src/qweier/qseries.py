@@ -54,7 +54,7 @@ class QSeries:
 
     @staticmethod
     def zero(prec):
-        return QSeries.from_numerators([0] * prec)
+        return QSeries((), prec)
 
     @staticmethod
     def one(prec):
@@ -97,7 +97,9 @@ class QSeries:
         return next((i for i, x in enumerate(self.nums) if x), None)
 
     def truncated(self, prec):
-        """The same series known modulo q^prec (prec <= self.prec)."""
+        """The same series known modulo q^prec (0 <= prec <= self.prec)."""
+        if prec < 0:
+            raise DomainError("prec must be nonnegative")
         if prec > self.prec:
             raise PrecisionError(
                 "cannot extend precision from %d to %d" % (self.prec, prec)
@@ -238,6 +240,8 @@ class QSeries:
         the first `prec` coefficients when given)."""
         common = min(self.prec, other.prec)
         if prec is not None:
+            if prec < 0:
+                raise DomainError("prec must be nonnegative")
             if prec > common:
                 raise PrecisionError(
                     "comparison to precision %d requested but only %d is stored"

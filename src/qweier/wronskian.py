@@ -147,22 +147,20 @@ def _det_series(rows, prec):
     return det.shifted(shift)
 
 
-def _reduced_columns(fs, vals, height, prec):
-    """Strip each input's q-valuation and build its derivative tower to
-    precision prec.
+def _reduced_det(fs, vals, prec):
+    """The reduced determinant det[(v_j + theta)^i g_j] modulo q^prec,
+    where f_j = q^(v_j) g_j and vals[j] = v_j; prec must not exceed
+    f_j.prec - v_j for any j.
 
-    Returns columns with columns[j][i] = (v_j + theta)^i g_j mod q^prec,
-    where f_j = q^(v_j) g_j and vals[j] = v_j.  prec must not exceed
-    f_j.prec - v_j for any j.  theta and scaling act coefficient by
-    coefficient, so truncating g_j before building the tower gives the
-    same entries as truncating the tower afterwards, and only the
-    coefficients the caller reads are computed.
+    theta and scaling act coefficient by coefficient, so truncating g_j
+    before building its derivative tower gives the same entries as
+    truncating the tower afterwards, and only the coefficients the
+    determinant reads are computed.
     """
-    return [
-        _theta_tower(QSeries.from_numerators(f.nums[v:v + prec], f.den), v,
-                     height)
-        for f, v in zip(fs, vals)
-    ]
+    columns = [_theta_tower(QSeries.from_numerators(f.nums[v:v + prec], f.den),
+                            v, len(fs))
+               for f, v in zip(fs, vals)]
+    return _det_series(list(zip(*columns)), prec)
 
 
 def q_wronskian(fs, m):
@@ -179,20 +177,13 @@ def q_wronskian(fs, m):
             "common precision %d is below the matrix size %d" % (prec, k)
         )
     fs = [f.truncated(prec) for f in fs]
-    if k == 1:
-        return WronskianOutput(fs[0], 1, m)
     vals = [f.valuation() for f in fs]
     if None in vals:
         # A column is zero modulo the stored precision, hence so is the
         # determinant.
         return WronskianOutput(QSeries.zero(prec), k, m)
-    shift = sum(vals)
-    reduced_prec = prec - max(vals)
-    columns = _reduced_columns(fs, vals, k, reduced_prec)
-    rows = [[columns[j][i] for j in range(k)] for i in range(k)]
-    det = _det_series(rows, reduced_prec)
-    series = det.shifted(shift).truncated(prec)
-    return WronskianOutput(series, k, m)
+    det = _reduced_det(fs, vals, prec - max(vals))
+    return WronskianOutput(det.shifted(sum(vals)).truncated(prec), k, m)
 
 
 def wronskian_valuation(fs):
@@ -237,9 +228,7 @@ def wronskian_valuation(fs):
     probe = 1
     while probe < working:
         probe = min(probe * 4, working)
-        columns = _reduced_columns(fs, vals, k, probe)
-        rows = [[columns[j][i] for j in range(k)] for i in range(k)]
-        v = _det_series(rows, probe).valuation()
+        v = _reduced_det(fs, vals, probe).valuation()
         if v is not None:
             return shift + v
     raise PrecisionError(

@@ -226,7 +226,9 @@ def test_undecodable_file_is_a_clean_error(tmp_path, argv):
 def test_usage_errors_exit_2():
     for argv in ([], ["nosuch"], ["weierstrass", FIX34],
                  ["level1", "verify", "--tmax", "0"],
-                 ["level1", "verify", "--tmax", "-3"]):
+                 ["level1", "verify", "--tmax", "-3"],
+                 ["level1", "verify", "--tmax", "2", "--prec", "0"],
+                 ["level1", "verify", "--tmax", "2", "--prec", "-3"]):
         with pytest.raises(SystemExit) as info:
             run(*argv)
         assert info.value.code == 2

@@ -1,35 +1,8 @@
-import random
 from fractions import Fraction as F
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from qweier.errors import ShapeError
-from qweier.exactlinalg import (RatMatrix, _independent_rows,
-                                _solve_on_pivots, det_bareiss, echelon_reduce,
-                                rank)
-
-
-def det_by_cofactors(m):
-    """Independent oracle: Laplace expansion along the first row."""
-    n = m.rows
-    if n == 0:
-        return F(1)
-    if n == 1:
-        return m.entries[0][0]
-    total = F(0)
-    for j in range(n):
-        if m.entries[0][j] == 0:
-            continue
-        minor = RatMatrix(
-            [
-                [m.entries[i][k] for k in range(n) if k != j]
-                for i in range(1, n)
-            ],
-            cols=n - 1,
-        )
-        total += (-1) ** j * m.entries[0][j] * det_by_cofactors(minor)
-    return total
+from qweier.exactlinalg import RatMatrix, echelon_reduce, rank, solve_on_rows
 
 
 small_entries = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -100,7 +73,7 @@ def test_leading_entries_positive():
 def test_transform_times_input_is_echelon(m):
     r = echelon_reduce(m)
     assert r.transform.mul(m) == r.echelon
-    assert det_bareiss(r.transform) != 0
+    assert rank(r.transform) == m.rows
 
 
 @given(small_matrices())
@@ -163,18 +136,20 @@ def _combine(coeffs, m):
 @settings(max_examples=150)
 def test_solve_writes_row_space_vectors_on_independent_rows(m, mix):
     r = echelon_reduce(m)
-    # Targets: the echelon rows and one more integer vector of the row space.
+    # Targets: the echelon rows, one more integer vector of the row space,
+    # and the input rows themselves, over their denominators.
     extra = [sum(a * row[j] for a, row in zip(mix, m.nums))
              for j in range(m.cols)]
-    targets = list(r.echelon.nums[:r.rank]) + [extra]
-    basis = _independent_rows(m, r.pivots)
-    coords = _solve_on_pivots(m, basis, r.pivots, targets)
+    targets = RatMatrix(list(r.echelon.entries[:r.rank]) + [extra]
+                        + list(m.entries), cols=m.cols)
+    basis, coords = solve_on_rows(m, r.pivots, targets)
     assert len(basis) == r.rank
     assert rank(RatMatrix([m.entries[i] for i in basis], cols=m.cols)) == r.rank
-    for target, x in zip(targets, coords):
+    assert len(coords) == targets.rows
+    for target, x in zip(targets.entries, coords):
         assert len(x) == m.rows
         assert all(x[i] == 0 for i in range(m.rows) if i not in basis)
-        assert _combine(x, m) == tuple(map(F, target))
+        assert _combine(x, m) == target
     assert r.combinations() == [tuple(x) for x in coords[:r.rank]]
 
 
@@ -187,40 +162,3 @@ def test_rank_zero_matrix():
 
 def test_rank_identity():
     assert rank(RatMatrix.identity(4)) == 4
-
-
-# -- det_bareiss -----------------------------------------------------------------
-
-
-def test_det_identity():
-    assert det_bareiss(RatMatrix.identity(5)) == 1
-
-
-def test_det_swap():
-    assert det_bareiss(RatMatrix([[0, 1], [1, 0]])) == -1
-
-
-def test_det_requires_square():
-    with pytest.raises(ShapeError):
-        det_bareiss(RatMatrix([[1, 2, 3], [4, 5, 6]]))
-
-
-def test_det_random_integer_matrices_match_cofactor_oracle():
-    rng = random.Random(40434)
-    for _ in range(25):
-        n = rng.randint(1, 4)
-        m = RatMatrix(
-            [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)], cols=n
-        )
-        assert det_bareiss(m) == det_by_cofactors(m)
-
-
-@given(small_matrices(max_dim=4, square=True))
-@settings(max_examples=80)
-def test_det_matches_cofactor_oracle(m):
-    assert det_bareiss(m) == det_by_cofactors(m)
-
-
-@given(small_matrices(max_dim=4, square=True))
-def test_det_vanishes_iff_rank_deficient(m):
-    assert (det_bareiss(m) == 0) == (rank(m) < m.rows)

@@ -168,6 +168,16 @@ def test_basis_file_checks_coefficient_counts():
         BasisFile("x", 2, 3, [("f0", [F(0), F(1)])])
 
 
+def test_precision_zero_is_refused_on_both_sides():
+    # At PREC 0 each form's coefficient line is empty, and the parser skips
+    # empty lines, so serialize would write text that parse rejects.
+    with pytest.raises(ValidationError):
+        BasisFile("x", 2, 0, [("f0", [])])
+    text = "QEXP 1\nLEVEL x\nWEIGHT 2\nPREC 0\nFORMS 0\n"
+    with pytest.raises(ParseError):
+        parse_basis_file(text)
+
+
 # -- fuzzing ------------------------------------------------------------------
 
 SIGNATURE = "GENUS 3\nCUSPS 4\nELLIPTIC 2 2\n"

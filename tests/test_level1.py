@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from qweier.errors import DependentInput, DomainError, NotInSpace, PrecisionError
 from qweier.level1 import (
@@ -163,6 +163,36 @@ def test_express_reports_dependent_monomials(monkeypatch, inside):
     f = e4_cubed if inside else delta(10).series
     with pytest.raises(DependentInput):
         express_in_monomials(Level1Form(f, 12))
+
+
+@st.composite
+def monomial_combinations(draw):
+    """(weight, prec, coefficients c_j on m_basis(weight), f = sum of
+    c_j * E4^a E6^b), with some c_j zero and f over a non-unit
+    denominator."""
+    weight = draw(st.integers(min_value=6, max_value=18)) * 2
+    basis = m_basis(weight)
+    prec = draw(st.integers(min_value=len(basis) + 1, max_value=24))
+    coeffs = draw(st.lists(
+        st.one_of(st.just(F(0)), st.fractions(-50, 50, max_denominator=30)),
+        min_size=len(basis), max_size=len(basis)).filter(any))
+    scale = draw(st.integers(min_value=2, max_value=40))
+    coeffs = [c / scale for c in coeffs]
+    f = QSeries.zero(prec)
+    for e, c in zip(basis, coeffs):
+        f = f + monomial_series(e, prec).scaled(c)
+    assume(f.den != 1)
+    return weight, prec, coeffs, f
+
+
+@given(monomial_combinations(), st.integers(min_value=0, max_value=23))
+def test_express_recovers_the_nonzero_coefficients(combination, n):
+    weight, prec, coeffs, f = combination
+    want = [(e, c) for e, c in zip(m_basis(weight), coeffs) if c != 0]
+    assert express_in_monomials(Level1Form(f, weight)) == want
+    outside = f + QSeries.monomial(1, n % prec, prec)
+    with pytest.raises(NotInSpace):
+        express_in_monomials(Level1Form(outside, weight))
 
 
 def test_express_product_weights_add():

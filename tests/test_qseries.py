@@ -217,6 +217,16 @@ def test_argument_errors_are_domain_errors(op):
         op()
 
 
+@pytest.mark.parametrize("op", [
+    lambda: qs(1, 2, 3).truncated(-1),
+    lambda: qs(1, 2, 3).agrees_with(qs(1, 2, 3), -1),
+    lambda: QSeries.zero(-2),
+], ids=["truncated", "agrees_with", "zero"])
+def test_negative_precision_is_a_domain_error(op):
+    with pytest.raises(DomainError):
+        op()
+
+
 def test_coeff_out_of_window():
     with pytest.raises(PrecisionError):
         qs(1, 2, prec=2).coeff(2)

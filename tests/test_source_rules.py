@@ -1,0 +1,45 @@
+"""Source rules of the exact engine, checked on the syntax tree of every
+module in src/qweier: no assert statement (every failure is a typed
+QweierError, also under python -O), and no floating point: no float
+literal, no use of the name float, and no true division `/` (write
+Fraction(a, b) or use // on integers)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted(
+    (Path(__file__).resolve().parent.parent / "src" / "qweier").glob("*.py"))
+
+
+def _violations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            yield node.lineno, "assert statement"
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            yield node.lineno, "float literal %r" % node.value
+        elif isinstance(node, ast.Name) and node.id == "float":
+            yield node.lineno, "the name float"
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, ast.Div):
+            yield node.lineno, "true division /"
+
+
+def test_sources_are_found():
+    assert len(SOURCES) >= 10
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_source_follows_the_exact_arithmetic_rules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = ["%s:%d: %s" % (path.name, line, what)
+             for line, what in _violations(tree)]
+    assert not found, "\n".join(found)
+
+
+def test_the_rules_catch_each_kind():
+    text = "assert x\ny = 0.5\nz = float(y)\nw = a / b\nw /= 2\n"
+    assert sorted(_violations(ast.parse(text))) == [
+        (1, "assert statement"), (2, "float literal 0.5"),
+        (3, "the name float"), (4, "true division /"), (5, "true division /")]

@@ -43,10 +43,11 @@ def series_lists(draw, k_min=2, k_max=4, prec=8):
 
 
 def test_single_series_is_its_own_wronskian():
-    f = qs(0, 1, 5, prec=3)
-    w = q_wronskian([f], 10)
-    assert w.series == f
-    assert w.output_weight == 10 and w.scalar_exponent == 0
+    for f in (qs(0, 1, 5, prec=3), qs(F(2, 3), 0, F(-1, 6), prec=3),
+              qs(0, 0, F(7, 4), prec=3), QSeries.zero(3)):
+        w = q_wronskian([f], 10)
+        assert w.series == f
+        assert w.output_weight == 10 and w.scalar_exponent == 0
 
 
 def test_wronskian_of_one_and_q():
