@@ -29,7 +29,9 @@ from .level1 import (
     eisenstein_e4,
     eisenstein_e6,
     express_in_monomials,
+    power_ladder,
 )
+from .qseries import QSeries
 from .surface import (
     GENUS_LT_2,
     HYPERELLIPTIC,
@@ -138,12 +140,17 @@ def _cmd_level1(args, out):
     e4 = eisenstein_e4(prec).series
     e6 = eisenstein_e6(prec).series
     dlt = delta(prec).series
-    a, b = e4 ** 3, e6 ** 2
+    a_pows = power_ladder(QSeries.one(prec), e4 ** 3, args.tmax + 1)
+    b_pows = power_ladder(QSeries.one(prec), e6 ** 2, args.tmax + 1)
+    # Delta^t and Delta^(t(t+1)/2), one product each per step.
+    dlt_t = dlt_half = QSeries.one(prec)
     for t in range(1, args.tmax + 1):
-        fs = [a ** u * b ** (t - u) for u in range(t, -1, -1)]
+        dlt_t = dlt_t * dlt
+        dlt_half = dlt_half * dlt_t
+        fs = [a_pows[u] * b_pows[t - u] for u in range(t, -1, -1)]
         w = q_wronskian(fs, 12 * t)
         half = t * (t + 1) // 2
-        quotient = w.series.exact_div(dlt ** half)
+        quotient = w.series.exact_div(dlt_half)
         rest_weight = w.output_weight - 12 * half
         combo = express_in_monomials(Level1Form(quotient, rest_weight))
         expected = MonomialExponent(t * (t + 1), half)

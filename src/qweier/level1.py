@@ -128,6 +128,31 @@ def monomial_series(exponent, prec):
     return e4 ** exponent.alpha * e6 ** exponent.beta
 
 
+def monomial_ladder(m, prec):
+    """[monomial_series(e, prec) for e in m_basis(m)], built from shared
+    power ladders.
+
+    Along m_basis(m) alpha falls by 3 and beta rises by 2, so the i-th of
+    the d monomials is E4^alpha_min * (E4^3)^(d-1-i) times
+    E6^beta_0 * (E6^2)^i: two ladders of d - 1 products each and one
+    product per monomial, instead of a binary powering per monomial.
+    """
+    basis = m_basis(m)
+    e4 = eisenstein_e4(prec).series
+    e6 = eisenstein_e6(prec).series
+    left = power_ladder(e4 ** basis[-1].alpha, e4 ** 3, len(basis))
+    right = power_ladder(e6 ** basis[0].beta, e6 ** 2, len(basis))
+    return [x * y for x, y in zip(reversed(left), right)]
+
+
+def power_ladder(first, step, n):
+    """[first * step^j for j in range(n)] by repeated products."""
+    out = [first]
+    for _ in range(n - 1):
+        out.append(out[-1] * step)
+    return out
+
+
 def express_in_monomials(f):
     """Write a weight-m form as a rational combination of the monomials
     E4^a E6^b, 4a + 6b = m.
@@ -147,7 +172,7 @@ def express_in_monomials(f):
             "need at least %d coefficients to certify membership, have %d"
             % (d + 1, prec)
         )
-    rows = [monomial_series(exp, prec) for exp in basis] + [f.series]
+    rows = monomial_ladder(f.weight, prec) + [f.series]
     matrix = coefficient_matrix(rows, prec)
     pivots = pivot_columns(matrix)
     if len(pivots) > d:

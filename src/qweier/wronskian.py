@@ -105,6 +105,8 @@ def _det_series(rows, prec):
     update a_ij - q^v * (m_i * a_cj / q^v) is known modulo q^prec again.
     The block valuations never decrease, and the determinant is
     +-q^(v_1 + ... + v_k) times the product of the pivots' unit parts.
+    Each pivot's unit is inverted to eliminate the rows below it, so the
+    last pivot's unit, with no row below, is not inverted.
     """
     k = len(rows)
     a = [list(r) for r in rows]
@@ -129,6 +131,10 @@ def _det_series(rows, prec):
                 row[c], row[j] = row[j], row[c]
             sign = -sign
         unit = _lowered(a[c][c], v)
+        units.append(unit)
+        shift += v
+        if c == k - 1:
+            break
         inverse = QSeries.one(prec - v).exact_div(unit)
         pivot_row = [(j, _lowered(x, v))
                      for j, x in enumerate(a[c][c + 1:], start=c + 1)
@@ -139,8 +145,6 @@ def _det_series(rows, prec):
                 continue
             for j, b in pivot_row:
                 row[j] = row[j] - (m * b).shifted(v)
-        units.append(unit)
-        shift += v
     det = QSeries.monomial(sign, 0, prec - shift)
     for unit in units:
         det = det * unit
@@ -191,11 +195,19 @@ def wronskian_valuation(fs):
     reduced determinant; works even when the valuation exceeds the stored
     precision of the inputs.
 
-    Returns sum(v_j) + valuation(reduced determinant).  The reduced
-    determinant is probed modulo q^1, q^4, q^16, ... up to the working
-    precision min(prec) - max(v_j).  Modulo q^1 it is read off the
-    valuations (see below); each later probe builds the derivative towers
-    only to the precision it reads.  Raises PrecisionError when the
+    Returns sum(v_j) + valuation(reduced determinant).  Modulo q^1 the
+    reduced determinant is read off the valuations (see below).  When
+    valuations collide it is probed up to the working precision
+    min(prec) - max(v_j), each probe building the derivative towers only
+    to the precision it reads.  The first probe is seeded at the predicted
+    valuation: when the pivot columns of the coefficient matrix give all
+    k span valuations s_i, the cusp-order identity puts the reduced
+    determinant's valuation at sum(s_i) - sum(v_j) >= 1, and the first
+    probe is modulo q^(sum(s_i) - sum(v_j) + 1); otherwise it is modulo
+    q^4.  Each later probe has four times the precision of the one before,
+    and the last is the working precision.  The probes only decide how far
+    to look; the value returned is read off the determinant, so it does
+    not depend on the schedule.  Raises PrecisionError when the
     reduced determinant vanishes at the working precision (the valuation
     cannot be certified), and DependentInput when an input is zero at its
     stored precision.
@@ -225,16 +237,19 @@ def wronskian_valuation(fs):
         # coefficients, nonzero exactly when the v_j are pairwise distinct.
         return shift
     working = prec - max(vals)
-    probe = 1
-    while probe < working:
-        probe = min(probe * 4, working)
+    pivots = pivot_columns(coefficient_matrix(fs, prec))
+    probe = min(sum(pivots) - shift + 1 if len(pivots) == k else 4, working)
+    while True:
         v = _reduced_det(fs, vals, probe).valuation()
         if v is not None:
             return shift + v
-    raise PrecisionError(
-        "reduced Wronskian determinant vanishes modulo q^%d: inputs are "
-        "either linearly dependent or the precision is insufficient" % working
-    )
+        if probe == working:
+            raise PrecisionError(
+                "reduced Wronskian determinant vanishes modulo q^%d: inputs "
+                "are either linearly dependent or the precision is "
+                "insufficient" % working
+            )
+        probe = min(probe * 4, working)
 
 
 def span_valuations(fs):

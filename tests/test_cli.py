@@ -114,6 +114,22 @@ def test_level1_verify_two_steps():
     assert "lambda(2) = -10319560704\n" in out
 
 
+def test_level1_verify_five_steps_byte_for_byte():
+    # t = 3..5 take the deepest power ladders and the largest monomial
+    # bases (up to 18 monomials at weight 210).
+    code, out, _ = run("level1", "verify", "--tmax", "5", "--prec", "40")
+    assert code == 0
+    assert out == (
+        "lambda(1) = -1728\n"
+        "lambda(2) = -10319560704\n"
+        "lambda(3) = 319479999370622926848\n"
+        "lambda(4) = 68364378374333704222737683932250112\n"
+        "lambda(5) = -126394974305585413518438684379757865623988230600785920\n"
+        "level1 verify: OK for t = 1..5 "
+        "(W_q = lambda * Delta^(t(t+1)/2) * E4^(t(t+1)) * E6^(t(t+1)/2))\n"
+    )
+
+
 # -- wronskian ----------------------------------------------------------------
 
 

@@ -14,6 +14,7 @@ from qweier.level1 import (
     eisenstein_e6,
     express_in_monomials,
     m_basis,
+    monomial_ladder,
     monomial_series,
     sigma,
 )
@@ -159,10 +160,21 @@ def test_express_reports_dependent_monomials(monkeypatch, inside):
     # Both weight-12 monomials replaced by E4^3: a dependent "basis".
     e4_cubed = eisenstein_e4(10).series ** 3
     monkeypatch.setattr(
-        "qweier.level1.monomial_series", lambda exp, prec: e4_cubed)
+        "qweier.level1.monomial_ladder", lambda m, prec: [e4_cubed, e4_cubed])
     f = e4_cubed if inside else delta(10).series
     with pytest.raises(DependentInput):
         express_in_monomials(Level1Form(f, 12))
+
+
+def test_monomial_ladder_matches_single_monomials():
+    # The shared ladders against one binary powering per monomial, on
+    # every weight up to 120, including windows shorter than a ladder.
+    for prec in (1, 2, 13, 40):
+        for m in [0] + list(range(4, 121, 2)):
+            got = monomial_ladder(m, prec)
+            want = [monomial_series(e, prec) for e in m_basis(m)]
+            assert [(s.nums, s.den, s.prec) for s in got] == [
+                (s.nums, s.den, s.prec) for s in want], (m, prec)
 
 
 @st.composite

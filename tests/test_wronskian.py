@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ from qweier.qseries import QSeries
 from qweier.wronskian import (
     SpanValuations,
     _det_series,
+    _reduced_det,
     cusp_order_identity_check,
     elliptic_wronskian_order,
     q_wronskian,
@@ -113,14 +115,16 @@ def _reference_det(rows, prec):
     return minor(tuple(range(k)))
 
 
-def test_det_series_matches_laplace_reference():
-    # Every entry of a matrix shares the valuation `base` (up to 3) and some
-    # reach higher, so pivots of positive valuation are common; every other
-    # matrix has a last row dependent on the first two.
-    rng = random.Random(1405)
+def _seeded_series_matrices(seed, k_max, prec_max):
+    """80 seeded k x k series matrices, k <= k_max, each with a random
+    precision up to prec_max.  Every entry of a matrix shares the
+    valuation `base` (up to 3) and some reach higher, so pivots of
+    positive valuation are common; every other matrix has a last row
+    dependent on the first two."""
+    rng = random.Random(seed)
     for trial in range(80):
-        k = rng.randint(1, 9)
-        prec = rng.randint(1, 14)
+        k = rng.randint(1, k_max)
+        prec = rng.randint(1, prec_max)
         base = rng.randint(0, 3)
 
         def entry():
@@ -134,9 +138,30 @@ def test_det_series_matches_laplace_reference():
             a, b = rng.choice([-2, -1, 1]), F(rng.randint(-2, 2), 3)
             rows[-1] = [rows[0][j].scaled(a) + rows[1][j].scaled(b)
                         for j in range(k)]
-        result = _det_series([list(r) for r in rows], prec)
-        assert result == _reference_det(rows, prec), (trial, k, prec)
+        yield rows, prec
+
+
+def test_det_series_matches_laplace_reference():
+    for trial, (rows, prec) in enumerate(_seeded_series_matrices(1405, 9, 14)):
+        result = _det_series(rows, prec)
+        assert result == _reference_det(rows, prec), (trial, len(rows), prec)
         assert result.prec == prec
+
+
+DET_SERIES_REFERENCE = (
+    "e2c18963a430c8518cc5aca6d8499358df58594ad54d62557e6d11bc261adc5d")
+
+
+def test_det_series_matches_stored_reference():
+    # SHA-256 of the determinants as computed while every pivot's unit,
+    # the last one included, was still inverted: skipping the unused last
+    # inverse must not change a single numerator.
+    digest = hashlib.sha256()
+    for rows, prec in _seeded_series_matrices(2718, 7, 12):
+        det = _det_series(rows, prec)
+        digest.update(("%r %d %d\n" % (list(det.nums), det.den, det.prec))
+                      .encode())
+    assert digest.hexdigest() == DET_SERIES_REFERENCE
 
 
 @pytest.mark.parametrize("k", [5, 9])
@@ -297,9 +322,10 @@ def test_wronskian_valuation_beyond_stored_precision():
 def test_wronskian_valuation_deep_probe(gaps):
     # Every input has the valuation gaps[0], but their span reaches the
     # valuations in gaps, so the Wronskian valuation is sum(gaps) and the
-    # reduced determinant vanishes to order sum(gaps) - k * gaps[0] >= 4:
-    # the probes at q^1 and q^4 see zero and the answer comes from q^16 or
-    # beyond.
+    # reduced determinant vanishes to order sum(gaps) - k * gaps[0] >= 4.
+    # The pivot columns find all k gaps, so the first probe is seeded
+    # modulo q^(sum(gaps) - k * gaps[0] + 1) and reads the leading term at
+    # once, where an unseeded q^4, q^16, ... schedule would see zero first.
     k = len(gaps)
     total = sum(gaps)
     assert total - k * gaps[0] >= 4
@@ -323,6 +349,55 @@ def test_wronskian_valuation_deep_probe(gaps):
     assert all(f.valuation() == gaps[0] for f in fs)
     assert q_wronskian(fs, 2).series.valuation() == total
     assert wronskian_valuation(fs) == total
+
+
+@st.composite
+def colliding_lists(draw):
+    """Echelon series q^w + ... mixed as in the deep-probe test, so that
+    every input has the lowest valuation; with kind "deficient" one input
+    is replaced by a combination of two others.  The precision ranges
+    from just above the largest w, where the seeded first probe exceeds
+    the working precision, to beyond the Wronskian valuation."""
+    gaps = sorted(draw(st.sets(st.integers(0, 8), min_size=2, max_size=5)))
+    k = len(gaps)
+    prec = draw(st.integers(gaps[-1] + 1, sum(gaps) - k * gaps[0] + gaps[0] + 4))
+    coeff = st.fractions(-5, 5, max_denominator=3)
+    echelon = [
+        QSeries([F(0)] * w + [F(1)]
+                + draw(st.lists(coeff, min_size=prec - w - 1,
+                                max_size=prec - w - 1)), prec)
+        for w in gaps
+    ]
+    nonzero = coeff.filter(bool)
+    fs = [echelon[0]]
+    for i in range(1, k):
+        acc = echelon[i] + echelon[0].scaled(draw(nonzero))
+        for j in range(1, i):
+            acc = acc + echelon[j].scaled(draw(coeff))
+        fs.append(acc)
+    if k >= 3 and draw(st.sampled_from(["full", "deficient"])) == "deficient":
+        i, j = draw(st.permutations(range(k)))[:2]
+        fs[-1] = fs[i].scaled(draw(nonzero)) + fs[j].scaled(draw(coeff))
+    return draw(st.permutations(fs))
+
+
+@given(colliding_lists())
+@settings(max_examples=80, deadline=None)
+def test_wronskian_valuation_does_not_depend_on_the_probes(fs):
+    # One determinant at the full working precision is the reference; the
+    # probe schedule may only change how much work is done.
+    prec = min(f.prec for f in fs)
+    vals = [f.valuation() for f in fs]
+    if None in vals:
+        with pytest.raises(DependentInput):
+            wronskian_valuation(fs)
+        return
+    want = _reduced_det(fs, vals, prec - max(vals)).valuation()
+    if want is None:
+        with pytest.raises(PrecisionError):
+            wronskian_valuation(fs)
+    else:
+        assert wronskian_valuation(fs) == sum(vals) + want
 
 
 def test_wronskian_valuation_rejects_zero_input():
