@@ -197,20 +197,22 @@ def wronskian_valuation(fs):
 
     Returns sum(v_j) + valuation(reduced determinant).  Modulo q^1 the
     reduced determinant is read off the valuations (see below).  When
-    valuations collide it is probed up to the working precision
-    min(prec) - max(v_j), each probe building the derivative towers only
-    to the precision it reads.  The first probe is seeded at the predicted
-    valuation: when the pivot columns of the coefficient matrix give all
-    k span valuations s_i, the cusp-order identity puts the reduced
-    determinant's valuation at sum(s_i) - sum(v_j) >= 1, and the first
-    probe is modulo q^(sum(s_i) - sum(v_j) + 1); otherwise it is modulo
-    q^4.  Each later probe has four times the precision of the one before,
-    and the last is the working precision.  The probes only decide how far
-    to look; the value returned is read off the determinant, so it does
-    not depend on the schedule.  Raises PrecisionError when the
-    reduced determinant vanishes at the working precision (the valuation
-    cannot be certified), and DependentInput when an input is zero at its
-    stored precision.
+    valuations collide it is computed once, modulo q^probe, with the
+    derivative towers built only to that precision; the probe never
+    exceeds the working precision min(prec) - max(v_j).  When the pivot
+    columns of the coefficient matrix give all k span valuations s_i, the
+    cusp-order identity puts the reduced determinant's valuation at
+    sum(s_i) - sum(v_j) >= 1, so the probe is
+    min(sum(s_i) - sum(v_j) + 1, working): it either reads that
+    valuation or, capped at the working precision, sees zero.  With fewer
+    than k pivots some combination of the inputs vanishes modulo
+    q^min(prec), so the reduced determinant vanishes modulo q^working, and
+    the probe is the working precision.  The value returned is read off
+    the determinant, not off the pivots, so a wrong determinant still
+    shows up as a disagreement with the span valuations.  Raises
+    PrecisionError when the reduced determinant vanishes modulo q^probe
+    (the valuation cannot be certified), and DependentInput when an input
+    is zero at its stored precision.
     """
     k = len(fs)
     if k == 0:
@@ -238,18 +240,16 @@ def wronskian_valuation(fs):
         return shift
     working = prec - max(vals)
     pivots = pivot_columns(coefficient_matrix(fs, prec))
-    probe = min(sum(pivots) - shift + 1 if len(pivots) == k else 4, working)
-    while True:
-        v = _reduced_det(fs, vals, probe).valuation()
-        if v is not None:
-            return shift + v
-        if probe == working:
-            raise PrecisionError(
-                "reduced Wronskian determinant vanishes modulo q^%d: inputs "
-                "are either linearly dependent or the precision is "
-                "insufficient" % working
-            )
-        probe = min(probe * 4, working)
+    probe = (min(sum(pivots) - shift + 1, working) if len(pivots) == k
+             else working)
+    v = _reduced_det(fs, vals, probe).valuation()
+    if v is None:
+        raise PrecisionError(
+            "reduced Wronskian determinant vanishes modulo q^%d: inputs "
+            "are either linearly dependent or the precision is "
+            "insufficient" % working
+        )
+    return shift + v
 
 
 def span_valuations(fs):

@@ -319,13 +319,12 @@ def test_wronskian_valuation_beyond_stored_precision():
     (1, 2, 3, 5, 6, 8, 9, 11, 13),
     (2, 3, 4, 6, 7, 9, 10, 12, 13, 15),
 ])
-def test_wronskian_valuation_deep_probe(gaps):
+def test_wronskian_valuation_deep_probe(gaps, monkeypatch):
     # Every input has the valuation gaps[0], but their span reaches the
     # valuations in gaps, so the Wronskian valuation is sum(gaps) and the
     # reduced determinant vanishes to order sum(gaps) - k * gaps[0] >= 4.
-    # The pivot columns find all k gaps, so the first probe is seeded
-    # modulo q^(sum(gaps) - k * gaps[0] + 1) and reads the leading term at
-    # once, where an unseeded q^4, q^16, ... schedule would see zero first.
+    # The pivot columns find all k gaps, so the one probe is modulo
+    # q^(sum(gaps) - k * gaps[0] + 1) and reads the leading term.
     k = len(gaps)
     total = sum(gaps)
     assert total - k * gaps[0] >= 4
@@ -348,7 +347,15 @@ def test_wronskian_valuation_deep_probe(gaps):
     rng.shuffle(fs)
     assert all(f.valuation() == gaps[0] for f in fs)
     assert q_wronskian(fs, 2).series.valuation() == total
+    probes = []
+
+    def spy(fs, vals, prec):
+        probes.append(prec)
+        return _reduced_det(fs, vals, prec)
+
+    monkeypatch.setattr("qweier.wronskian._reduced_det", spy)
     assert wronskian_valuation(fs) == total
+    assert probes == [total - k * gaps[0] + 1]
 
 
 @st.composite
@@ -376,7 +383,7 @@ def colliding_lists(draw):
             acc = acc + echelon[j].scaled(draw(coeff))
         fs.append(acc)
     if k >= 3 and draw(st.sampled_from(["full", "deficient"])) == "deficient":
-        i, j = draw(st.permutations(range(k)))[:2]
+        i, j = draw(st.permutations(range(k - 1)))[:2]
         fs[-1] = fs[i].scaled(draw(nonzero)) + fs[j].scaled(draw(coeff))
     return draw(st.permutations(fs))
 
