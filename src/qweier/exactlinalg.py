@@ -200,13 +200,14 @@ def _normalized(row, p):
 
 def _cancel(x, y, p):
     """The primitive integer row b*x - a*y, where a = x[p] and b = y[p]
-    are divided by their gcd, so that column p cancels."""
+    are divided by their gcd, so that column p cancels.  Both rows are
+    zero before column p, so only the entries after it are computed."""
     a, b = x[p], y[p]
     g = gcd(a, b)
     a, b = a // g, b // g
-    row = [b * u - a * v for u, v in zip(x, y)]
+    row = [b * u - a * v for u, v in zip(x[p + 1:], y[p + 1:])]
     g = gcd(*row)
-    return [u // g for u in row] if g > 1 else row
+    return [0] * (p + 1) + ([u // g for u in row] if g > 1 else row)
 
 
 def echelon_reduce(m):

@@ -20,6 +20,9 @@ cusp equals the sum of the gap sequence, and the cusp is an
 (m/2)-Weierstrass point iff that order reaches 1 + t(m-1+t)/2.
 """
 
+import sys
+from math import prod
+
 from .errors import (DomainError, HyperellipticUnsupported, PrecisionError,
                      RankDeficit, ValidationError)
 from .exactlinalg import echelon_reduce, pivot_columns
@@ -156,8 +159,16 @@ def monomials(basis, m):
     decreasing exponent order, as (exponent vector, series) pairs.
 
     For m = 2 the list is the basis itself.  Each product is truncated to
-    the common basis precision; the shared-prefix recursion performs one
-    series multiplication per enumeration step.
+    the common basis precision.  The shared-prefix recursion runs on
+    Kronecker-packed integers: each form's numerator row becomes one
+    signed integer evaluated at 2^w, each tree node is one integer product
+    truncated modulo q^prec, and each monomial is unpacked once and put
+    over den_0^a_0 * ... * den_(g-1)^a_(g-1) in lowest terms.  Every
+    coefficient of a degree-(m/2) product of numerator rows is at most
+    norm**(m/2) in absolute value, where norm is the largest l1 norm of a
+    form's numerators, so w = bit_length(norm**(m/2)) + 1 bits, rounded up
+    to 1, 2, 4 or 8 bytes, keeps every digit exact.  The result is the same
+    (nums, den, prec) as a chain of QSeries products.
     """
     _require_even_weight(m, 2)
     g = basis.genus
@@ -166,33 +177,92 @@ def monomials(basis, m):
         raise PrecisionError(
             "basis precision %d is below the %d coefficients required for "
             "genus %d, weight %d" % (basis.prec, need, g, m))
+    fs = basis.series_list()
+    d = m // 2
+    ring = _PackedRows(basis.prec,
+                       max(sum(map(abs, f.nums)) for f in fs) ** d)
+    xs = [ring.pack(f.nums) for f in fs]
+    last = [1]
+    for _ in range(d):
+        last.append(ring.mul(last[-1], xs[-1]))
     out = []
-    _extend_monomials(basis.series_list(), 0, m // 2,
-                      QSeries.one(basis.prec), [0] * g, out)
+    _extend_monomials(ring, xs, last, [f.den for f in fs], 0, d, 1,
+                      [0] * g, out)
     return out
 
 
-def _extend_monomials(fs, i, rem, prefix, vec, out):
+class _PackedRows:
+    """Integer rows of length prec packed into one signed integer: the
+    row c_0, ..., c_(prec-1) is sum(c_k * 2^(w*k)), with w = 8 * nbytes
+    bits per digit.  Exact while every |c_k| <= bound, since w =
+    bit_length(bound) + 1 rounded up to 1, 2, 4 or 8 bytes (or to whole
+    bytes past 8), so every digit lies in [-2^(w-1), 2^(w-1))."""
+
+    __slots__ = ("prec", "nbytes", "offset", "mask", "typecode")
+
+    def __init__(self, prec, bound):
+        nbytes = (bound.bit_length() + 8) // 8
+        if nbytes <= 8:
+            nbytes = 1 << (nbytes - 1).bit_length()
+        width = 8 * nbytes
+        self.prec = prec
+        self.nbytes = nbytes
+        self.mask = (1 << (width * prec)) - 1
+        # 2^(w-1) in every digit.
+        self.offset = (self.mask // ((1 << width) - 1)) << (width - 1)
+        self.typecode = next(
+            (t for t in "bhilq"
+             if memoryview(bytes(8)).cast(t).itemsize == nbytes), None)
+
+    def pack(self, nums):
+        width = 8 * self.nbytes
+        return sum(x << (width * k) for k, x in enumerate(nums))
+
+    def mul(self, x, y):
+        """The packed product of two packed rows modulo q^prec.  Adding
+        the offset makes every low digit nonnegative, so the mask cuts
+        exactly the digits of q^prec and above."""
+        return ((x * y + self.offset) & self.mask) - self.offset
+
+    def unpack(self, x):
+        """The row of a packed integer as a list of ints.  With the offset
+        added, flipping the top bit of every digit leaves each digit in
+        two's complement, which a signed typecode reads in C.  The bytes
+        are in native order, so a big-endian host reads the digits last
+        first."""
+        n = self.nbytes
+        raw = ((x + self.offset) ^ self.offset).to_bytes(
+            self.prec * n, sys.byteorder)
+        if self.typecode is None:
+            row = [int.from_bytes(raw[k:k + n], sys.byteorder, signed=True)
+                   for k in range(0, len(raw), n)]
+        else:
+            row = memoryview(raw).cast(self.typecode).tolist()
+        return row if sys.byteorder == "little" else row[::-1]
+
+
+def _extend_monomials(ring, xs, last, dens, i, rem, prefix, vec, out):
     """Append to out every (exponent vector, series) pair prefix *
-    fs[i]^a_i * ... * fs[-1]^a_last with a_i + ... + a_last = rem, in
-    lexicographically decreasing order; vec[:i] holds the exponents
-    already fixed.  A module-level function rather than a nested one, so
-    no closure refers to itself and out is freed as soon as the caller
-    drops it."""
-    if i == len(fs) - 1:
+    xs[i]^a_i * ... * xs[-1]^a_last with a_i + ... + a_last = rem, in
+    lexicographically decreasing order.  xs are the packed basis forms,
+    last[j] is xs[-1]^j, dens are the forms' denominators and vec[:i]
+    holds the exponents already fixed.  A module-level function rather
+    than a nested one, so no closure refers to itself and out is freed as
+    soon as the caller drops it."""
+    if i == len(xs) - 1:
         vec[i] = rem
-        p = prefix
-        for _ in range(rem):
-            p = p * fs[i]
-        out.append((tuple(vec), p))
+        out.append((tuple(vec), QSeries.from_numerators(
+            ring.unpack(ring.mul(prefix, last[rem])),
+            prod(map(pow, dens, vec)))))
         vec[i] = 0
         return
     chain = [prefix]
     for _ in range(rem):
-        chain.append(chain[-1] * fs[i])
+        chain.append(ring.mul(chain[-1], xs[i]))
     for a in range(rem, -1, -1):
         vec[i] = a
-        _extend_monomials(fs, i + 1, rem - a, chain[a], vec, out)
+        _extend_monomials(ring, xs, last, dens, i + 1, rem - a, chain[a],
+                          vec, out)
     vec[i] = 0
 
 

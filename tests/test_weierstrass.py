@@ -2,12 +2,12 @@ import gc
 import hashlib
 import random
 from fractions import Fraction as F
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load_fixture, random_basis_change
+from conftest import FIXTURE_LEVELS, load_fixture, random_basis_change
 from qweier.errors import (
     DomainError,
     HyperellipticUnsupported,
@@ -26,6 +26,7 @@ from qweier.weierstrass import (
     SPAN_NOT_GUARANTEED,
     CuspBasis,
     ModularFormRecord,
+    _PackedRows,
     monomials,
     required_precision,
     subspace_dimension,
@@ -171,6 +172,95 @@ def test_monomials_reject_insufficient_precision():
     )
     with pytest.raises(PrecisionError):
         monomials(short, 4)
+
+
+def _product_chain(fs, vec, prec):
+    p = QSeries.one(prec)
+    for f, a in zip(fs, vec):
+        for _ in range(a):
+            p = p * f
+    return p
+
+
+@st.composite
+def packed_cases(draw):
+    g = draw(st.integers(min_value=1, max_value=5))
+    prec = draw(st.integers(min_value=max(4, required_precision(g, 2)),
+                            max_value=30))
+    m = draw(st.sampled_from(
+        [m for m in range(2, 9, 2) if required_precision(g, m) <= prec]))
+    # One magnitude per basis, so every digit width is drawn, up to the
+    # wider-than-8-byte rows of 2^80.
+    bound = 2 ** draw(st.sampled_from([3, 7, 15, 31, 80]))
+    coeff = st.one_of(st.just(0), st.integers(min_value=-bound,
+                                              max_value=bound))
+    series = [
+        QSeries.from_numerators(
+            [0] + draw(st.lists(coeff, min_size=prec - 1, max_size=prec - 1)),
+            draw(st.integers(min_value=1, max_value=12)))
+        for _ in range(g)
+    ]
+    return CuspBasis.from_series("packed", series), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(packed_cases())
+def test_packed_monomials_equal_series_product_chains(case):
+    # Negative, zero and up-to-2^80 numerators over non-unit denominators:
+    # the packed kernel, on typecode digits and on wider-than-8-byte digits,
+    # returns what QSeries.__mul__ returns, byte for byte.
+    basis, m = case
+    fs = basis.series_list()
+    for vec, s in monomials(basis, m):
+        want = _product_chain(fs, vec, basis.prec)
+        assert (s.nums, s.den, s.prec) == (want.nums, want.den, want.prec)
+
+
+@pytest.mark.parametrize("n,d,nbytes", [
+    (2**7 - 1, 1, 1),   # the largest digit 1-byte digits hold
+    (2, 7, 2),          # 2^7: one past it
+    (2**5, 3, 4),       # 2^15
+    (2**31, 1, 8),      # 2^31
+    (2**21, 3, 9),      # 2^63: wider than 8 bytes, read by int.from_bytes
+])
+def test_packed_digit_width_boundaries(n, d, nbytes):
+    # Single-term forms -N*q, N*q^2, -N*q^3: every monomial is one term
+    # +-N^d, which must come back exactly, with no carry or borrow into
+    # the neighbouring coefficients.
+    g, m = 3, 2 * d
+    prec = required_precision(g, m)
+    assert _PackedRows(prec, n ** d).nbytes == nbytes
+    signs = (-1, 1, -1)
+    fs = [QSeries.monomial(sgn * n, i + 1, prec)
+          for i, sgn in enumerate(signs)]
+    got = monomials(CuspBasis.from_series("edge", fs), m)
+    assert len(got) == comb(g + d - 1, d)
+    for vec, s in got:
+        sign = prod(sgn ** a for sgn, a in zip(signs, vec))
+        k = sum((i + 1) * a for i, a in enumerate(vec))
+        assert s == QSeries.monomial(sign * n ** d, k, prec)
+
+
+#: sha256 of repr((level, m, vec, nums, den, prec)) over monomials(b, m)
+#: for every bundled fixture and every even m <= 14 its precision allows
+#: (55 weights), as the series-product recursion of d4cf8a1 computed it.
+MONOMIAL_DIGEST = (
+    "8bc9561be6526fbdf9f9f882fc809976b883f796d537fe51bfe5a557cad1b0da")
+
+
+def test_monomials_on_every_fixture_match_the_pinned_digest():
+    h = hashlib.sha256()
+    weights = 0
+    for level in FIXTURE_LEVELS:
+        basis = load_fixture(level)
+        for m in range(2, 15, 2):
+            if required_precision(basis.genus, m) > basis.prec:
+                continue
+            weights += 1
+            for vec, s in monomials(basis, m):
+                h.update(repr((level, m, vec, s.nums, s.den, s.prec)).encode())
+    assert weights == 55
+    assert h.hexdigest() == MONOMIAL_DIGEST
 
 
 # -- subspace_dimension -------------------------------------------------------
