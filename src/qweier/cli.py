@@ -20,12 +20,13 @@ import os
 import re
 import sys
 
-from .errors import QweierError
+from .errors import PrecisionError, QweierError
 from .ingest import load_basis, load_series, load_signature
 from .level1 import (
     Level1Form,
     MonomialExponent,
     delta,
+    dim_m,
     eisenstein_e4,
     eisenstein_e6,
     express_in_monomials,
@@ -147,11 +148,19 @@ def _cmd_level1(args, out):
     for t in range(1, args.tmax + 1):
         dlt_t = dlt_t * dlt
         dlt_half = dlt_half * dlt_t
+        half = t * (t + 1) // 2
+        rest_weight = wronskian_weight(t + 1, 12 * t) - 12 * half
+        # Dividing by Delta^half spends half coefficients, and the quotient
+        # needs one more than its weight's dimension to certify membership.
+        needed = half + dim_m(rest_weight) + 1
+        if prec < needed:
+            raise PrecisionError(
+                "t = %d needs --prec at least %d (%d for Delta^%d and %d to "
+                "certify the weight-%d quotient), got %d"
+                % (t, needed, half, half, needed - half, rest_weight, prec))
         fs = [a_pows[u] * b_pows[t - u] for u in range(t, -1, -1)]
         w = q_wronskian(fs, 12 * t)
-        half = t * (t + 1) // 2
         quotient = w.series.exact_div(dlt_half)
-        rest_weight = w.output_weight - 12 * half
         combo = express_in_monomials(Level1Form(quotient, rest_weight))
         expected = MonomialExponent(t * (t + 1), half)
         if len(combo) != 1 or combo[0][0] != expected:
@@ -295,7 +304,8 @@ def _build_parser():
 
     p_wr = sub.add_parser("wronskian", help="q-Wronskian of a basis file")
     p_wr.add_argument("basisfile")
-    p_wr.add_argument("--weight", type=int, default=None, metavar="m")
+    p_wr.add_argument("--weight", type=positive_int, default=None,
+                      metavar="m")
 
     p_ws = sub.add_parser(
         "weierstrass", help="Weierstrass-point test at the cusp at infinity"

@@ -2,18 +2,21 @@
 identity connecting them.
 
 The q-Wronskian of f_1, ..., f_k is the determinant of the k x k matrix
-whose i-th row applies (q d/dq)^i to each f_j.  Its determinant is taken
-by Gaussian elimination over Q[[q]] that pivots on an entry of least
-valuation, which keeps the full input precision for every k.
+whose i-th row applies (q d/dq)^i to each f_j.  Every input column is
+first reduced by its q-valuation: with f = q^v g, (q d/dq)^i f =
+q^v (v + q d/dq)^i g, so W_q(f_1,...,f_k) = q^(v_1+...+v_k) *
+det[(v_j + q d/dq)^i g_j].  This identity is exact and keeps the working
+precision small even when the Wronskian itself vanishes to very high
+order; for inputs with pairwise distinct valuations the reduced
+determinant has a nonzero constant term (a Vandermonde factor times the
+product of the leading coefficients), so the valuation of W_q is
+certified from very few terms of the reduced determinant.
 
-Every input column is first reduced by its q-valuation: with f = q^v g,
-(q d/dq)^i f = q^v (v + q d/dq)^i g, so W_q(f_1,...,f_k) =
-q^(v_1+...+v_k) * det[(v_j + q d/dq)^i g_j].  This identity is exact and
-keeps the working precision small even when the Wronskian itself vanishes
-to very high order; for inputs with pairwise distinct valuations the
-reduced determinant has a nonzero constant term (a Vandermonde factor
-times the product of the leading coefficients), so the valuation of W_q
-is certified from very few terms of the reduced determinant.
+The reduced determinant is never formed as a matrix.  The classical
+reduction W(h_0, ..., h_t) = h_0^(t+1) W(theta(h_1/h_0), ...,
+theta(h_t/h_0)), theta = q d/dq, removes one column per level on
+(valuation, unit) pairs: one unit inverse and one product per column, so
+about k^2/2 series operations, with the full input precision for every k.
 """
 
 from fractions import Fraction
@@ -76,102 +79,79 @@ def scalar_exponent(k):
     return k * (k - 1) // 2
 
 
-def _theta_tower(series, valuation_shift, height):
-    """[(v + q d/dq)^i g for i in range(height)] for g = series, v = shift.
-    (v + q d/dq) multiplies the coefficient of q^n by v + n."""
-    out = [series]
-    for _ in range(height - 1):
-        prev = out[-1]
-        out.append(QSeries.from_numerators(
-            [(valuation_shift + n) * x for n, x in enumerate(prev.nums)],
-            prev.den))
-    return out
-
-
-def _lowered(x, v):
-    """x / q^v for a series x of valuation >= v, known modulo
-    q^(x.prec - v)."""
-    return QSeries.from_numerators(x.nums[v:], x.den)
-
-
-def _det_series(rows, prec):
-    """Determinant of a square matrix of series known modulo q^prec, with
-    the full precision prec.
-
-    Gaussian elimination over Q[[q]] that pivots, at each step, on an
-    entry of least valuation v in the remaining block.  Every entry of the
-    block is then q^v times a series known modulo q^(prec - v), so each
-    multiplier m_i = a_ic / a_cc is known modulo q^(prec - v), and each
-    update a_ij - q^v * (m_i * a_cj / q^v) is known modulo q^prec again.
-    The block valuations never decrease, and the determinant is
-    +-q^(v_1 + ... + v_k) times the product of the pivots' unit parts.
-    Each pivot's unit is inverted to eliminate the rows below it, so the
-    last pivot's unit, with no row below, is not inverted.
-    """
-    k = len(rows)
-    a = [list(r) for r in rows]
-    sign = 1
-    shift = 0
-    units = []
-    for c in range(k):
-        # An entry that vanishes modulo q^prec (valuation None) is never
-        # a pivot; a block of such entries counts as valuation prec.
-        v, i, j = min(((v, i, j) for i in range(c, k) for j in range(c, k)
-                       for v in (a[i][j].valuation(),) if v is not None),
-                      default=(prec, c, c))
-        if shift + v * (k - c) >= prec:
-            # Every later pivot has valuation >= v, so the determinant
-            # vanishes modulo q^prec.
-            return QSeries.zero(prec)
-        if i != c:
-            a[c], a[i] = a[i], a[c]
-            sign = -sign
-        if j != c:
-            for row in a[c:]:
-                row[c], row[j] = row[j], row[c]
-            sign = -sign
-        unit = _lowered(a[c][c], v)
-        units.append(unit)
-        shift += v
-        if c == k - 1:
-            break
-        inverse = QSeries.one(prec - v).exact_div(unit)
-        pivot_row = [(j, _lowered(x, v))
-                     for j, x in enumerate(a[c][c + 1:], start=c + 1)
-                     if not x.is_zero()]
-        for row in a[c + 1:]:
-            m = _lowered(row[c], v) * inverse
-            if m.is_zero():
-                continue
-            for j, b in pivot_row:
-                row[j] = row[j] - (m * b).shifted(v)
-    det = QSeries.monomial(sign, 0, prec - shift)
-    for unit in units:
-        det = det * unit
-    return det.shifted(shift)
-
-
 def _reduced_det(fs, vals, prec):
-    """The reduced determinant det[(v_j + theta)^i g_j] modulo q^prec,
-    where f_j = q^(v_j) g_j and vals[j] = v_j; prec must not exceed
-    f_j.prec - v_j for any j.
+    """The reduced determinant D = det[(v_j + theta)^i g_j] modulo q^prec,
+    where theta = q d/dq, f_j = q^(v_j) g_j and vals[j] = v_j; prec must
+    not exceed f_j.prec - v_j for any j.
 
-    theta and scaling act coefficient by coefficient, so truncating g_j
-    before building its derivative tower gives the same entries as
-    truncating the tower afterwards, and only the coefficients the
-    determinant reads are computed.
+    D = q^-(v_1 + ... + v_k) W_q(f_1, ..., f_k), and the Wronskian
+    reduces one column at a time:
+
+        W(h_0, ..., h_t) = h_0^(t+1) W(theta(h_1/h_0), ..., theta(h_t/h_0)).
+
+    A column is a pair (a, u) standing for q^a u, u a unit; the first
+    level holds (v_j, g_j).  Each level moves a column of least a to the
+    front (a swap flips the sign), inverts its unit u_0 once and maps every
+    other column to theta(q^e u_j/u_0) = q^e (e + theta)(u_j/u_0), with
+    e = a_j - a_0.  For e > 0 that is the column (e, (e + theta)(u_j/u_0)).
+    For e = 0 (a collision) w = theta(u_j/u_0) has no constant term, and
+    the column is (c_j, w/q^c_j) with c_j the valuation of w.  The pivot
+    unit of level l enters with exponent k - l, so D = +-q^s times the
+    product of the prefix products u_0 u_1 ... u_l of the pivot units,
+    where s is the sum of every c_j met.
+
+    Precision: with s the sum of the c_j met before a level, every unit
+    of that level is known modulo q^(prec - s).  At the first level s = 0
+    and each g_j is known modulo q^prec.  The quotient by the pivot unit
+    and (e + theta) need no coefficient beyond that, and lowering by c_j
+    costs c_j coefficients while s grows by at least c_j.  The steps
+    depend only on the valuations a_j, which the known coefficients fix,
+    so for every completion of the inputs D is the product above, each of
+    its factors known modulo q^(prec - s): D is known modulo q^prec.  As s
+    only grows, D has valuation at least s, so once s reaches prec, or a w
+    vanishes modulo q^(prec - s) (its true c_j is then at least prec - s),
+    D vanishes modulo q^prec and QSeries.zero(prec) is returned.
     """
-    columns = [_theta_tower(QSeries.from_numerators(f.nums[v:v + prec], f.den),
-                            v, len(fs))
+    columns = [(v, QSeries.from_numerators(f.nums[v:v + prec], f.den))
                for f, v in zip(fs, vals)]
-    return _det_series(list(zip(*columns)), prec)
+    sign, shift, units = 1, 0, []
+    while True:
+        first = min(range(len(columns)), key=lambda j: columns[j][0])
+        if first:
+            columns[0], columns[first] = columns[first], columns[0]
+            sign = -sign
+        a0, unit = columns[0]
+        units.append(unit)
+        if len(columns) == 1:
+            break
+        inverse = QSeries.one(prec - shift).exact_div(unit)
+        reduced = []
+        for a, u in columns[1:]:
+            e = a - a0
+            w = u * inverse
+            nums = [(e + n) * x for n, x in enumerate(w.nums)]
+            c = next((n for n, x in enumerate(nums) if x), None)
+            if c is None:
+                return QSeries.zero(prec)
+            shift += c
+            reduced.append((e + c, QSeries.from_numerators(nums[c:], w.den)))
+        if shift >= prec:
+            return QSeries.zero(prec)
+        columns = reduced
+    r = prec - shift
+    det = prefix = units[0].truncated(r)
+    for unit in units[1:]:
+        prefix = prefix * unit.truncated(r)
+        det = det * prefix
+    return (det if sign > 0 else -det).shifted(shift)
 
 
 def q_wronskian(fs, m):
     """The q-Wronskian det[(q d/dq)^i f_j] of k = len(fs) series of common
     weight m, with guaranteed output precision equal to the common input
-    precision: the reduced determinant is known modulo
-    q^(prec - max(v_j)), and the shift by sum(v_j) restores prec."""
+    precision: the reduced determinant, taken by theta-reduction, is
+    known modulo q^(prec - max(v_j)), and the shift by sum(v_j) restores
+    prec."""
     k = len(fs)
     if k == 0:
         raise EmptyInput("q-Wronskian of an empty list")
@@ -197,8 +177,8 @@ def wronskian_valuation(fs):
 
     Returns sum(v_j) + valuation(reduced determinant).  Modulo q^1 the
     reduced determinant is read off the valuations (see below).  When
-    valuations collide it is computed once, modulo q^probe, with the
-    derivative towers built only to that precision; the probe never
+    valuations collide it is computed once by theta-reduction, modulo
+    q^probe, on units truncated to that precision; the probe never
     exceeds the working precision min(prec) - max(v_j).  When the pivot
     columns of the coefficient matrix give all k span valuations s_i, the
     cusp-order identity puts the reduced determinant's valuation at

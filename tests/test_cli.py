@@ -114,6 +114,19 @@ def test_level1_verify_two_steps():
     assert "lambda(2) = -10319560704\n" in out
 
 
+def test_level1_verify_names_the_precision_a_step_needs():
+    # At t = 2, Delta^3 vanishes modulo q^3: the error names the precision
+    # t = 2 needs instead of a division by a series that reads as zero.
+    code, out, err = run("level1", "verify", "--tmax", "3", "--prec", "3")
+    assert code == 1
+    assert out == "lambda(1) = -1728\n"
+    assert err == (
+        "error: t = 2 needs --prec at least 8 (3 for Delta^3 and 5 to "
+        "certify the weight-42 quotient), got 3\n")
+    code, out, _ = run("level1", "verify", "--tmax", "2", "--prec", "8")
+    assert code == 0 and "lambda(2) = -10319560704\n" in out
+
+
 def test_level1_verify_five_steps_byte_for_byte():
     # t = 3..5 take the deepest power ladders and the largest monomial
     # bases (up to 18 monomials at weight 210).
@@ -244,7 +257,9 @@ def test_usage_errors_exit_2():
                  ["level1", "verify", "--tmax", "0"],
                  ["level1", "verify", "--tmax", "-3"],
                  ["level1", "verify", "--tmax", "2", "--prec", "0"],
-                 ["level1", "verify", "--tmax", "2", "--prec", "-3"]):
+                 ["level1", "verify", "--tmax", "2", "--prec", "-3"],
+                 ["wronskian", FIX34, "--weight", "-3"],
+                 ["wronskian", FIX34, "--weight", "0"]):
         with pytest.raises(SystemExit) as info:
             run(*argv)
         assert info.value.code == 2

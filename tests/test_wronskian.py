@@ -11,7 +11,6 @@ from qweier.level1 import delta, eisenstein_e4, eisenstein_e6
 from qweier.qseries import QSeries
 from qweier.wronskian import (
     SpanValuations,
-    _det_series,
     _reduced_det,
     cusp_order_identity_check,
     elliptic_wronskian_order,
@@ -115,53 +114,75 @@ def _reference_det(rows, prec):
     return minor(tuple(range(k)))
 
 
-def _seeded_series_matrices(seed, k_max, prec_max):
-    """80 seeded k x k series matrices, k <= k_max, each with a random
-    precision up to prec_max.  Every entry of a matrix shares the
-    valuation `base` (up to 3) and some reach higher, so pivots of
-    positive valuation are common; every other matrix has a last row
-    dependent on the first two."""
+def _seeded_series_lists(seed, k_max):
+    """80 seeded lists of k <= k_max series.  Every input of a list has
+    the valuation `base` (up to 3) or one or two more, so valuations
+    collide and the reduced determinant often has positive valuation;
+    every other list ends with a combination of its first two inputs.
+    The precision is random, up to a little past base + k(k + 1)/2, so
+    the Wronskian is seen to vanish at some precisions and not at
+    others."""
     rng = random.Random(seed)
     for trial in range(80):
         k = rng.randint(1, k_max)
-        prec = rng.randint(1, prec_max)
         base = rng.randint(0, 3)
+        prec = rng.randint(max(k, base + 3), base + 4 + k * (k + 1) // 2)
 
-        def entry():
-            v = min(prec, base + rng.choice([0, 0, 1, 2]))
-            return QSeries([F(0)] * v + [
+        def series():
+            v = base + rng.choice([0, 0, 1, 2])
+            return QSeries([F(0)] * v + [F(rng.choice([-3, -1, 1, 2]))] + [
                 F(rng.randint(-3, 3), rng.randint(1, 2))
-                for _ in range(prec - v)], prec)
+                for _ in range(prec - v - 1)], prec)
 
-        rows = [[entry() for _ in range(k)] for _ in range(k)]
+        fs = [series() for _ in range(k)]
         if k >= 3 and trial % 2:
             a, b = rng.choice([-2, -1, 1]), F(rng.randint(-2, 2), 3)
-            rows[-1] = [rows[0][j].scaled(a) + rows[1][j].scaled(b)
-                        for j in range(k)]
-        yield rows, prec
+            fs[-1] = fs[0].scaled(a) + fs[1].scaled(b)
+        yield fs
 
 
-def test_det_series_matches_laplace_reference():
-    for trial, (rows, prec) in enumerate(_seeded_series_matrices(1405, 9, 14)):
-        result = _det_series(rows, prec)
-        assert result == _reference_det(rows, prec), (trial, len(rows), prec)
-        assert result.prec == prec
+def _reduced_matrix(fs, vals, prec):
+    """The explicit reduced matrix [(v_j + theta)^i g_j], f_j = q^(v_j) g_j,
+    each entry modulo q^prec, built coefficient by coefficient."""
+    return [[QSeries([F(x, f.den) * (v + n) ** i
+                      for n, x in enumerate(f.nums[v:v + prec])], prec)
+             for f, v in zip(fs, vals)]
+            for i in range(len(fs))]
 
 
-DET_SERIES_REFERENCE = (
-    "e2c18963a430c8518cc5aca6d8499358df58594ad54d62557e6d11bc261adc5d")
+def test_reduced_det_matches_laplace_reference():
+    rng = random.Random(1405)
+    for trial, fs in enumerate(_seeded_series_lists(1405, 9)):
+        vals = [f.valuation() for f in fs]
+        if None in vals:
+            continue
+        prec = rng.randint(1, min(f.prec for f in fs) - max(vals))
+        result = _reduced_det(fs, vals, prec)
+        want = _reference_det(_reduced_matrix(fs, vals, prec), prec)
+        assert (result.nums, result.den, result.prec) == (
+            want.nums, want.den, want.prec), (trial, len(fs), prec)
 
 
-def test_det_series_matches_stored_reference():
-    # SHA-256 of the determinants as computed while every pivot's unit,
-    # the last one included, was still inverted: skipping the unused last
-    # inverse must not change a single numerator.
+# SHA-256 of q_wronskian(...).series as (nums, den, prec) on the level-1
+# families t = 1..5 at precision 40 and on the seeded lists, computed by
+# the Gaussian elimination over Q[[q]] that theta-reduction replaced: the
+# two must agree to the last numerator.
+Q_WRONSKIAN_REFERENCE = (
+    "9ce359b0d6a4bf98da36684cf49c0d0aaeab004c85efe1ed8feb99cae2349763")
+
+
+def test_q_wronskian_matches_pinned_digest():
+    prec = 40
+    a = eisenstein_e4(prec).series ** 3
+    b = eisenstein_e6(prec).series ** 2
+    families = [[a ** u * b ** (t - u) for u in range(t, -1, -1)]
+                for t in range(1, 6)]
     digest = hashlib.sha256()
-    for rows, prec in _seeded_series_matrices(2718, 7, 12):
-        det = _det_series(rows, prec)
-        digest.update(("%r %d %d\n" % (list(det.nums), det.den, det.prec))
+    for fs in families + list(_seeded_series_lists(2718, 9)):
+        w = q_wronskian(fs, 2).series
+        digest.update(("%r %d %d\n" % (list(w.nums), w.den, w.prec))
                       .encode())
-    assert digest.hexdigest() == DET_SERIES_REFERENCE
+    assert digest.hexdigest() == Q_WRONSKIAN_REFERENCE
 
 
 @pytest.mark.parametrize("k", [5, 9])
@@ -391,15 +412,18 @@ def colliding_lists(draw):
 @given(colliding_lists())
 @settings(max_examples=80, deadline=None)
 def test_wronskian_valuation_does_not_depend_on_the_probes(fs):
-    # One determinant at the full working precision is the reference; the
-    # probe schedule may only change how much work is done.
+    # The Laplace determinant of the explicit reduced matrix at the full
+    # working precision is the reference; the probe may only change how
+    # much work is done.
     prec = min(f.prec for f in fs)
     vals = [f.valuation() for f in fs]
     if None in vals:
         with pytest.raises(DependentInput):
             wronskian_valuation(fs)
         return
-    want = _reduced_det(fs, vals, prec - max(vals)).valuation()
+    working = prec - max(vals)
+    want = _reference_det(_reduced_matrix(fs, vals, working),
+                          working).valuation()
     if want is None:
         with pytest.raises(PrecisionError):
             wronskian_valuation(fs)
