@@ -19,12 +19,12 @@ import argparse
 import os
 import re
 import sys
+from functools import lru_cache
 
 from .errors import PrecisionError, QweierError
 from .ingest import load_basis, load_series, load_signature
 from .level1 import (
     Level1Form,
-    MonomialExponent,
     delta,
     dim_m,
     eisenstein_e4,
@@ -143,15 +143,18 @@ def _cmd_level1(args, out):
     dlt = delta(prec).series
     a_pows = power_ladder(QSeries.one(prec), e4 ** 3, args.tmax + 1)
     b_pows = power_ladder(QSeries.one(prec), e6 ** 2, args.tmax + 1)
-    # Delta^t and Delta^(t(t+1)/2), one product each per step.
-    dlt_t = dlt_half = QSeries.one(prec)
+    # Delta^t and Delta^(t(t+1)/2), and P^t and M_t = P^(t(t+1)/2) for the
+    # claimed monomial P = E4^2 * E6, one product each per step.
+    p = e4 * e4 * e6
+    dlt_t = dlt_half = p_t = m_t = QSeries.one(prec)
     for t in range(1, args.tmax + 1):
         dlt_t = dlt_t * dlt
         dlt_half = dlt_half * dlt_t
         half = t * (t + 1) // 2
         rest_weight = wronskian_weight(t + 1, 12 * t) - 12 * half
-        # Dividing by Delta^half spends half coefficients, and the quotient
-        # needs one more than its weight's dimension to certify membership.
+        # Dividing by Delta^half spends half coefficients.  A weight-w form
+        # vanishing to order > w/12 is zero, so agreement on dim + 1 > w/12
+        # coefficients proves an identity between weight-w forms.
         needed = half + dim_m(rest_weight) + 1
         if prec < needed:
             raise PrecisionError(
@@ -161,16 +164,24 @@ def _cmd_level1(args, out):
         fs = [a_pows[u] * b_pows[t - u] for u in range(t, -1, -1)]
         w = q_wronskian(fs, 12 * t)
         quotient = w.series.exact_div(dlt_half)
-        combo = express_in_monomials(Level1Form(quotient, rest_weight))
-        expected = MonomialExponent(t * (t + 1), half)
-        if len(combo) != 1 or combo[0][0] != expected:
+        # Later steps need M_t to fewer coefficients: carry only these.
+        p_t = p_t * p.truncated(quotient.prec)
+        m_t = m_t * p_t
+        # M_t has constant term 1, so the only candidate multiple of it is
+        # lambda * M_t with lambda the quotient's constant term.
+        lam = quotient.coeff(0)
+        if lam == 0 or quotient != m_t.scaled(lam):
+            # The monomial solve raises NotInSpace or DependentInput when
+            # the quotient is no weight-w form at this precision; otherwise
+            # it is a form other than a nonzero multiple of M_t.
+            express_in_monomials(Level1Form(quotient, rest_weight))
             _print(
                 out,
                 "t = %d: FAILED (quotient by Delta^%d is not a multiple of "
-                "E4^%d * E6^%d)" % (t, half, expected.alpha, expected.beta),
+                "E4^%d * E6^%d)" % (t, half, 2 * half, half),
             )
             return 1
-        _print(out, "lambda(%d) = %s" % (t, combo[0][1]))
+        _print(out, "lambda(%d) = %s" % (t, lam))
     _print(
         out,
         "level1 verify: OK for t = 1..%d "
@@ -282,7 +293,11 @@ def positive_int(text):
     return value
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, and usage errors go to the sys.stderr of the
+    moment."""
     parser = argparse.ArgumentParser(
         prog="qweier",
         description="Exact q-expansion arithmetic, Wronskians, and "

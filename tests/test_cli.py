@@ -7,11 +7,22 @@ from pathlib import Path
 
 import pytest
 
+import qweier.cli
 from conftest import fixture_path, load_fixture
 from qweier.cli import cli_dispatch, format_gaps
 from qweier.ingest import BasisFile, serialize
+from qweier.level1 import (
+    Level1Form,
+    MonomialExponent,
+    delta,
+    eisenstein_e4,
+    eisenstein_e6,
+    express_in_monomials,
+)
+from qweier.qseries import QSeries
 from qweier.surface import gamma0_invariants
 from qweier.weierstrass import weierstrass_test
+from qweier.wronskian import WronskianOutput, q_wronskian, wronskian_weight
 
 
 def run(*argv):
@@ -128,8 +139,8 @@ def test_level1_verify_names_the_precision_a_step_needs():
 
 
 def test_level1_verify_five_steps_byte_for_byte():
-    # t = 3..5 take the deepest power ladders and the largest monomial
-    # bases (up to 18 monomials at weight 210).
+    # t = 3..5 take the deepest power ladders and the heaviest quotients
+    # (weight 210 at t = 5), each checked against its one monomial.
     code, out, _ = run("level1", "verify", "--tmax", "5", "--prec", "40")
     assert code == 0
     assert out == (
@@ -141,6 +152,81 @@ def test_level1_verify_five_steps_byte_for_byte():
         "level1 verify: OK for t = 1..5 "
         "(W_q = lambda * Delta^(t(t+1)/2) * E4^(t(t+1)) * E6^(t(t+1)/2))\n"
     )
+
+
+def test_level1_verify_agrees_with_the_monomial_solve():
+    # The CLI compares each quotient with one monomial; the monomial solve
+    # over the whole basis of the quotient's weight is the oracle.
+    prec = 60
+    code, out, _ = run("level1", "verify", "--tmax", "6", "--prec", str(prec))
+    assert code == 0
+    lines = out.splitlines()
+    e4 = eisenstein_e4(prec).series
+    e6 = eisenstein_e6(prec).series
+    for t in range(1, 7):
+        half = t * (t + 1) // 2
+        fs = [e4 ** (3 * u) * e6 ** (2 * (t - u)) for u in range(t, -1, -1)]
+        quotient = q_wronskian(fs, 12 * t).series.exact_div(
+            delta(prec).series ** half)
+        weight = wronskian_weight(t + 1, 12 * t) - 12 * half
+        ((exponent, lam),) = express_in_monomials(Level1Form(quotient, weight))
+        assert exponent == MonomialExponent(t * (t + 1), half)
+        assert lines[t - 1] == "lambda(%d) = %s" % (t, lam)
+
+
+def _replaced_at_t2(change):
+    """q_wronskian with the t = 2 Wronskian series w replaced by change(w)."""
+    def fake(fs, m):
+        w = q_wronskian(fs, m)
+        if len(fs) != 3:
+            return w
+        return WronskianOutput(change(w.series), 3, m)
+    return fake
+
+
+def _plus_other_weight_42_form(w):
+    # Adds Delta^3 times E4^9 * E6, a weight-42 monomial other than
+    # E4^6 * E6^3.
+    e4 = eisenstein_e4(w.prec).series
+    e6 = eisenstein_e6(w.prec).series
+    return w + delta(w.prec).series ** 3 * e4 ** 9 * e6
+
+
+_L1_FAILED_T2 = ("lambda(1) = -1728\n"
+                 "t = 2: FAILED (quotient by Delta^3 is not a multiple of "
+                 "E4^6 * E6^3)\n")
+
+
+@pytest.mark.parametrize("change, expected", [
+    # q^4 / Delta^3 = q + O(q^2) is no weight-42 form.
+    (lambda w: w + QSeries.monomial(1, 4, w.prec),
+     ("lambda(1) = -1728\n",
+      "error: not a weight-42 form of the full group at precision 37\n")),
+    (_plus_other_weight_42_form, (_L1_FAILED_T2, "")),
+    (lambda w: QSeries.zero(w.prec), (_L1_FAILED_T2, "")),
+], ids=["outside-the-span", "another-form", "zero"])
+def test_level1_verify_failures_byte_for_byte(monkeypatch, change, expected):
+    # A quotient that is no nonzero multiple of its monomial goes through
+    # the monomial solve over the whole basis, which names the failure.
+    monkeypatch.setattr(qweier.cli, "q_wronskian", _replaced_at_t2(change))
+    code, out, err = run("level1", "verify", "--tmax", "3", "--prec", "40")
+    assert (code, out, err) == (1,) + expected
+
+
+def test_level1_verify_product_budget(monkeypatch):
+    # A fixed count, unlike wall clock; cached Eisenstein series and Delta
+    # only lower it.
+    calls = []
+    mul = QSeries.__mul__
+
+    def spy(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(QSeries, "__mul__", spy)
+    code, _, _ = run("level1", "verify", "--tmax", "5", "--prec", "40")
+    assert code == 0
+    assert 0 < len(calls) <= 127
 
 
 # -- wronskian ----------------------------------------------------------------
@@ -263,6 +349,36 @@ def test_usage_errors_exit_2():
         with pytest.raises(SystemExit) as info:
             run(*argv)
         assert info.value.code == 2
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path):
+    calls = [
+        ["wronskian", FIX34, "--weight", "0"],
+        ["wronskian", str(tmp_path / "missing.qexp")],
+        ["level1", "verify", "--tmax", "2", "--prec", "30"],
+        ["wronskian", "--weight", "0", FIX34],
+        ["wronskian", FIX37],
+        ["weierstrass", FIX34, "--weight", "4", "--level", "34"],
+        ["level1", "verify", "--tmax", "3", "--prec", "3"],
+        ["wronskian", FIX34, "--weight", "0"],
+    ]
+
+    def observe(argv):
+        try:
+            result = run(*argv)
+        except SystemExit as info:
+            result = (info.code,)
+        return result, capsys.readouterr()
+
+    assert qweier.cli._build_parser() is qweier.cli._build_parser()
+    reused = [observe(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        qweier.cli._build_parser.cache_clear()
+        fresh.append(observe(argv))
+    assert reused == fresh
+    assert [r[0][0] for r in reused] == [2, 1, 0, 2, 0, 0, 1, 2]
+    assert "must be at least 1" in reused[0][1].err
 
 
 @pytest.mark.parametrize(
