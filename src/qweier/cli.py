@@ -143,18 +143,19 @@ def _cmd_level1(args, out):
     dlt = delta(prec).series
     a_pows = power_ladder(QSeries.one(prec), e4 ** 3, args.tmax + 1)
     b_pows = power_ladder(QSeries.one(prec), e6 ** 2, args.tmax + 1)
-    # Delta^t and Delta^(t(t+1)/2), and P^t and M_t = P^(t(t+1)/2) for the
-    # claimed monomial P = E4^2 * E6, one product each per step.
-    p = e4 * e4 * e6
-    dlt_t = dlt_half = p_t = m_t = QSeries.one(prec)
+    # S^t and R_t = S^(t(t+1)/2) for S = Delta * E4^2 * E6, one product
+    # each per step.
+    s = dlt * e4 * e4 * e6
+    s_t = r_t = QSeries.one(prec)
     for t in range(1, args.tmax + 1):
-        dlt_t = dlt_t * dlt
-        dlt_half = dlt_half * dlt_t
+        s_t = s_t * s
+        r_t = r_t * s_t
         half = t * (t + 1) // 2
         rest_weight = wronskian_weight(t + 1, 12 * t) - 12 * half
-        # Dividing by Delta^half spends half coefficients.  A weight-w form
-        # vanishing to order > w/12 is zero, so agreement on dim + 1 > w/12
-        # coefficients proves an identity between weight-w forms.
+        # W_q - lambda * R_t is a level-1 form of weight w = 13t(t+1), and
+        # a nonzero one vanishes to order at most w/12.  needed exceeds
+        # w/12 (dim_m(r) + 1 > r/12 for r = w - 12 half), so agreement
+        # modulo q^prec proves W_q = lambda * R_t.
         needed = half + dim_m(rest_weight) + 1
         if prec < needed:
             raise PrecisionError(
@@ -162,18 +163,16 @@ def _cmd_level1(args, out):
                 "certify the weight-%d quotient), got %d"
                 % (t, needed, half, half, needed - half, rest_weight, prec))
         fs = [a_pows[u] * b_pows[t - u] for u in range(t, -1, -1)]
-        w = q_wronskian(fs, 12 * t)
-        quotient = w.series.exact_div(dlt_half)
-        # Later steps need M_t to fewer coefficients: carry only these.
-        p_t = p_t * p.truncated(quotient.prec)
-        m_t = m_t * p_t
-        # M_t has constant term 1, so the only candidate multiple of it is
-        # lambda * M_t with lambda the quotient's constant term.
-        lam = quotient.coeff(0)
-        if lam == 0 or quotient != m_t.scaled(lam):
+        wq = q_wronskian(fs, 12 * t).series
+        # R_t = q^half + ..., so the only candidate multiple of it is
+        # lambda * R_t with lambda the coefficient of q^half in W_q.
+        lam = wq.coeff(half)
+        if lam == 0 or wq != r_t.scaled(lam):
             # The monomial solve raises NotInSpace or DependentInput when
-            # the quotient is no weight-w form at this precision; otherwise
-            # it is a form other than a nonzero multiple of M_t.
+            # W_q / Delta^half is no form of weight rest_weight at this
+            # precision; otherwise it is a form other than a nonzero
+            # multiple of E4^(2 half) * E6^half.
+            quotient = wq.exact_div(dlt ** half)
             express_in_monomials(Level1Form(quotient, rest_weight))
             _print(
                 out,

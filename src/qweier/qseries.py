@@ -218,8 +218,12 @@ class QSeries:
         terms = [(k, x * u0 ** (k - 1)) for k, x in enumerate(unit) if k and x]
         out = []
         for n in range(prec):
-            out.append(num[n] * u0 ** n
-                       - sum(out[n - k] * t for k, t in terms if k <= n))
+            acc = num[n] * u0 ** n
+            for k, t in terms:
+                if k > n:
+                    break
+                acc -= out[n - k] * t
+            out.append(acc)
         return QSeries.from_numerators(
             [b.den * x * u0 ** (prec - 1 - n) for n, x in enumerate(out)],
             self.den * u0 ** prec)

@@ -38,18 +38,15 @@ SPAN_NOT_GUARANTEED = "SPAN_NOT_GUARANTEED"
 
 
 class ModularFormRecord:
-    """A labeled q-expansion with its weight, level, and cusp width."""
+    """A labeled q-expansion with its weight and level."""
 
-    __slots__ = ("label", "series", "weight", "level_label", "cusp_width")
+    __slots__ = ("label", "series", "weight", "level_label")
 
-    def __init__(self, label, series, weight, level_label="", cusp_width=1):
-        if cusp_width < 1:
-            raise DomainError("cusp width must be >= 1")
+    def __init__(self, label, series, weight, level_label=""):
         self.label = label
         self.series = series
         self.weight = weight
         self.level_label = level_label
-        self.cusp_width = cusp_width
 
     def __repr__(self):
         return "ModularFormRecord(%r, weight=%d, %s)" % (
@@ -87,10 +84,10 @@ class CuspBasis:
         self.prec = precs.pop()
 
     @classmethod
-    def from_series(cls, level_label, series_list, weight=2):
-        """Wrap bare series as records labeled f0, f1, ... ."""
+    def from_series(cls, level_label, series_list):
+        """Wrap bare series as weight-2 records labeled f0, f1, ... ."""
         records = [
-            ModularFormRecord("f%d" % i, s, weight, level_label)
+            ModularFormRecord("f%d" % i, s, 2, level_label)
             for i, s in enumerate(series_list)
         ]
         return cls(level_label, records)

@@ -199,13 +199,6 @@ def wronskian_valuation(fs):
         raise EmptyInput("q-Wronskian of an empty list")
     prec = min(f.prec for f in fs)
     fs = [f.truncated(prec) for f in fs]
-    if k == 1:
-        v = fs[0].valuation()
-        if v is None:
-            raise PrecisionError(
-                "series is zero modulo q^%d; valuation not certifiable" % prec
-            )
-        return v
     vals = [f.valuation() for f in fs]
     if None in vals:
         raise DependentInput(
@@ -249,17 +242,11 @@ def span_valuations(fs):
     return SpanValuations(pivots)
 
 
-def cusp_order_identity_check(fs, m):
-    """Compare the q-valuation of the q-Wronskian (lhs) with the sum of the
-    span valuations (rhs); the two are provably equal for any list of
-    linearly independent forms."""
-    w = q_wronskian(fs, m)
-    lhs = w.series.valuation()
-    if lhs is None:
-        raise PrecisionError(
-            "q-Wronskian vanishes modulo q^%d; increase the input precision"
-            % w.series.prec
-        )
+def cusp_order_identity_check(fs):
+    """Compare the certified q-valuation of the q-Wronskian (lhs) with the
+    sum of the span valuations (rhs); the two are provably equal for any
+    list of linearly independent forms."""
+    lhs = wronskian_valuation(fs)
     rhs = span_valuations(fs).total
     return lhs, rhs, lhs == rhs
 

@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import shutil
 import subprocess
@@ -155,8 +156,11 @@ def test_level1_verify_five_steps_byte_for_byte():
 
 
 def test_level1_verify_agrees_with_the_monomial_solve():
-    # The CLI compares each quotient with one monomial; the monomial solve
-    # over the whole basis of the quotient's weight is the oracle.
+    # The CLI compares W_q with lambda times one product; the monomial solve
+    # over the whole basis of the quotient's weight is one oracle.  The
+    # other is the closed form: W(g, g x, ..., g x^t) = g^(t+1) prod k!
+    # (theta x)^h with x = E4^3/E6^2, theta x = 1728 Delta E4^2 E6/E6^4 by
+    # Ramanujan's identities, and the reversed column order gives (-1)^h.
     prec = 60
     code, out, _ = run("level1", "verify", "--tmax", "6", "--prec", str(prec))
     assert code == 0
@@ -172,6 +176,9 @@ def test_level1_verify_agrees_with_the_monomial_solve():
         ((exponent, lam),) = express_in_monomials(Level1Form(quotient, weight))
         assert exponent == MonomialExponent(t * (t + 1), half)
         assert lines[t - 1] == "lambda(%d) = %s" % (t, lam)
+        closed = (-1728) ** half * math.prod(
+            math.factorial(k) for k in range(1, t + 1))
+        assert lines[t - 1] == "lambda(%d) = %d" % (t, closed)
 
 
 def _replaced_at_t2(change):
@@ -214,19 +221,19 @@ def test_level1_verify_failures_byte_for_byte(monkeypatch, change, expected):
 
 
 def test_level1_verify_product_budget(monkeypatch):
-    # A fixed count, unlike wall clock; cached Eisenstein series and Delta
-    # only lower it.
-    calls = []
-    mul = QSeries.__mul__
-
-    def spy(a, b):
-        calls.append(None)
-        return mul(a, b)
-
-    monkeypatch.setattr(QSeries, "__mul__", spy)
+    # Fixed counts, unlike wall clock; cached Eisenstein series and Delta
+    # only lower them.  Every exact_div is a unit inverse inside a
+    # Wronskian: a passing step divides by no power of Delta.
+    calls = {"__mul__": 0, "exact_div": 0}
+    for name in calls:
+        def counted(a, b, name=name, method=getattr(QSeries, name)):
+            calls[name] += 1
+            return method(a, b)
+        monkeypatch.setattr(QSeries, name, counted)
     code, _, _ = run("level1", "verify", "--tmax", "5", "--prec", "40")
     assert code == 0
-    assert 0 < len(calls) <= 127
+    assert 0 < calls["__mul__"] <= 118
+    assert 0 < calls["exact_div"] <= 15
 
 
 # -- wronskian ----------------------------------------------------------------

@@ -103,11 +103,6 @@ def test_basis_requires_vanishing_constant_term():
         CuspBasis("x", [rec])
 
 
-def test_cusp_width_must_be_positive():
-    with pytest.raises(DomainError):
-        ModularFormRecord("f0", qs(0, 1, prec=4), 2, cusp_width=0)
-
-
 def test_from_series_labels_in_order():
     basis = CuspBasis.from_series("x", [qs(0, 1, prec=6), qs(0, 0, 1, prec=6)])
     assert [f.label for f in basis.forms] == ["f0", "f1"]

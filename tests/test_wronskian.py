@@ -274,7 +274,7 @@ def test_span_rejects_dependent():
 
 def test_identity_check_one_q():
     lhs, rhs, holds = cusp_order_identity_check(
-        [QSeries.one(6), qs(0, 1, prec=6)], 0
+        [QSeries.one(6), qs(0, 1, prec=6)]
     )
     assert (lhs, rhs, holds) == (1, 1, True)
 
@@ -283,7 +283,7 @@ def test_identity_check_eisenstein():
     prec = 30
     e4 = eisenstein_e4(prec).series
     e6 = eisenstein_e6(prec).series
-    lhs, rhs, holds = cusp_order_identity_check([e4 ** 3, e6 ** 2], 12)
+    lhs, rhs, holds = cusp_order_identity_check([e4 ** 3, e6 ** 2])
     assert (lhs, rhs, holds) == (1, 1, True)
 
 
@@ -292,7 +292,7 @@ def test_identity_check_t2_monomials():
     e4 = eisenstein_e4(prec).series
     e6 = eisenstein_e6(prec).series
     monos = [(e4 ** 3) ** u * (e6 ** 2) ** (2 - u) for u in (2, 1, 0)]
-    lhs, rhs, holds = cusp_order_identity_check(monos, 24)
+    lhs, rhs, holds = cusp_order_identity_check(monos)
     assert (lhs, rhs, holds) == (3, 3, True)
 
 
@@ -300,14 +300,14 @@ def test_identity_check_raises_when_wronskian_invisible():
     # dependent inputs: the Wronskian vanishes to full precision
     f = qs(1, 1, 1, prec=3)
     with pytest.raises((PrecisionError, DependentInput)):
-        cusp_order_identity_check([f, f.scaled(2)], 2)
+        cusp_order_identity_check([f, f.scaled(2)])
 
 
 @given(series_lists(k_min=2, k_max=3, prec=10))
 @settings(max_examples=60)
 def test_identity_holds_on_random_independent_lists(fs):
     try:
-        lhs, rhs, holds = cusp_order_identity_check(fs, 6)
+        lhs, rhs, holds = cusp_order_identity_check(fs)
     except (DependentInput, PrecisionError):
         return
     assert holds
@@ -331,6 +331,7 @@ def test_wronskian_valuation_beyond_stored_precision():
     b = qs(*([0] * 9 + [1, -1, 2]), prec=12)
     assert wronskian_valuation([a, b]) == 17
     assert q_wronskian([a, b], 2).series.is_zero()
+    assert cusp_order_identity_check([a, b]) == (17, 17, True)
 
 
 @pytest.mark.parametrize("gaps", [
@@ -434,6 +435,12 @@ def test_wronskian_valuation_does_not_depend_on_the_probes(fs):
 def test_wronskian_valuation_rejects_zero_input():
     with pytest.raises(DependentInput):
         wronskian_valuation([qs(1, 1, prec=3), QSeries.zero(3)])
+    with pytest.raises(DependentInput):
+        wronskian_valuation([QSeries.zero(3)])
+
+
+def test_wronskian_valuation_of_one_input_is_its_valuation():
+    assert wronskian_valuation([qs(0, 0, 3, 1, prec=4)]) == 2
 
 
 @given(series_lists(k_min=2, k_max=3, prec=10))
