@@ -21,7 +21,7 @@ import re
 import sys
 from functools import lru_cache
 
-from .errors import PrecisionError, QweierError
+from .errors import PrecisionError, QweierError, ValidationError
 from .ingest import load_basis, load_series, load_signature
 from .level1 import (
     Level1Form,
@@ -136,43 +136,62 @@ def _cmd_dims(args, out):
 # -- level1 verify ----------------------------------------------------------
 
 
-def _cmd_level1(args, out):
-    prec = args.prec
+def _level1_step(t):
+    """(half, rest_weight, needed) for step t of level1 verify: W_q of the
+    t + 1 inputs is Delta^half times a form of weight rest_weight.
+
+    W_q - lambda * R_t is a level-1 form of weight w = 13t(t+1), and a
+    nonzero one vanishes to order at most w/12.  needed exceeds w/12
+    (dim_m(r) + 1 > r/12 for r = w - 12 half), so agreement modulo
+    q^needed proves W_q = lambda * R_t.  needed grows with t.
+    """
+    half = t * (t + 1) // 2
+    rest_weight = wronskian_weight(t + 1, 12 * t) - 12 * half
+    return half, rest_weight, half + dim_m(rest_weight) + 1
+
+
+def _level1_inputs(t, prec):
+    """The t + 1 inputs E4^(3u) * E6^(2(t-u)), u = t..0, modulo q^prec."""
     e4 = eisenstein_e4(prec).series
     e6 = eisenstein_e6(prec).series
-    dlt = delta(prec).series
+    return [e4 ** (3 * u) * e6 ** (2 * (t - u)) for u in range(t, -1, -1)]
+
+
+def _cmd_level1(args, out):
+    # --prec caps the working precision; each step works modulo its own
+    # q^needed, the most the certificate asks for.
+    prec = min(args.prec, _level1_step(args.tmax)[2])
+    e4 = eisenstein_e4(prec).series
+    e6 = eisenstein_e6(prec).series
     a_pows = power_ladder(QSeries.one(prec), e4 ** 3, args.tmax + 1)
     b_pows = power_ladder(QSeries.one(prec), e6 ** 2, args.tmax + 1)
     # S^t and R_t = S^(t(t+1)/2) for S = Delta * E4^2 * E6, one product
     # each per step.
-    s = dlt * e4 * e4 * e6
+    s = delta(prec).series * e4 * e4 * e6
     s_t = r_t = QSeries.one(prec)
     for t in range(1, args.tmax + 1):
         s_t = s_t * s
         r_t = r_t * s_t
-        half = t * (t + 1) // 2
-        rest_weight = wronskian_weight(t + 1, 12 * t) - 12 * half
-        # W_q - lambda * R_t is a level-1 form of weight w = 13t(t+1), and
-        # a nonzero one vanishes to order at most w/12.  needed exceeds
-        # w/12 (dim_m(r) + 1 > r/12 for r = w - 12 half), so agreement
-        # modulo q^prec proves W_q = lambda * R_t.
-        needed = half + dim_m(rest_weight) + 1
-        if prec < needed:
+        half, rest_weight, needed = _level1_step(t)
+        if args.prec < needed:
             raise PrecisionError(
                 "t = %d needs --prec at least %d (%d for Delta^%d and %d to "
                 "certify the weight-%d quotient), got %d"
-                % (t, needed, half, half, needed - half, rest_weight, prec))
-        fs = [a_pows[u] * b_pows[t - u] for u in range(t, -1, -1)]
+                % (t, needed, half, half, needed - half, rest_weight,
+                   args.prec))
+        fs = [a_pows[u].truncated(needed) * b_pows[t - u].truncated(needed)
+              for u in range(t, -1, -1)]
         wq = q_wronskian(fs, 12 * t).series
         # R_t = q^half + ..., so the only candidate multiple of it is
         # lambda * R_t with lambda the coefficient of q^half in W_q.
         lam = wq.coeff(half)
-        if lam == 0 or wq != r_t.scaled(lam):
-            # The monomial solve raises NotInSpace or DependentInput when
-            # W_q / Delta^half is no form of weight rest_weight at this
-            # precision; otherwise it is a form other than a nonzero
+        if lam == 0 or wq != r_t.truncated(needed).scaled(lam):
+            # At the full --prec, the monomial solve raises NotInSpace or
+            # DependentInput when W_q / Delta^half is no form of weight
+            # rest_weight; otherwise it is a form other than a nonzero
             # multiple of E4^(2 half) * E6^half.
-            quotient = wq.exact_div(dlt ** half)
+            wq = q_wronskian(_level1_inputs(t, args.prec), 12 * t).series
+            quotient = wq.exact_div(delta(args.prec).series ** half)
             express_in_monomials(Level1Form(quotient, rest_weight))
             _print(
                 out,
@@ -225,6 +244,11 @@ def _cmd_weierstrass(args, out):
     genus = len(basis.forms)
     notes = []
     if args.level is not None:
+        named = re.fullmatch(r"Gamma0\((\d+)\)", basis.level_label)
+        if named and int(named.group(1)) != args.level:
+            raise ValidationError(
+                "%s holds a basis for Gamma0(%d), but --level is %d"
+                % (args.basisfile, int(named.group(1)), args.level))
         inv = gamma0_invariants(args.level)
         sig = inv.signature
         status = inv.hyperelliptic_status
@@ -314,7 +338,11 @@ def _build_parser():
     p_l1 = sub.add_parser("level1", help="full-modular-group checks")
     p_l1.add_argument("action", choices=["verify"])
     p_l1.add_argument("--tmax", type=positive_int, required=True, metavar="T")
-    p_l1.add_argument("--prec", type=positive_int, default=40, metavar="P")
+    p_l1.add_argument(
+        "--prec", type=positive_int, default=40, metavar="P",
+        help="cap on the working precision (default 40); step t works "
+        "modulo q^needed_t, the precision that certifies it, and a P "
+        "below needed_t is an error")
 
     p_wr = sub.add_parser("wronskian", help="q-Wronskian of a basis file")
     p_wr.add_argument("basisfile")

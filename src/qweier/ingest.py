@@ -30,7 +30,11 @@ from .qseries import QSeries
 from .surface import SurfaceSignature
 from .weierstrass import CuspBasis, ModularFormRecord
 
-_RATIONAL = re.compile(r"(-?\d+)(?:/([1-9]\d*))?\Z")
+_TOKEN = r"-?\d+(?:/[1-9]\d*)?"
+_RATIONAL = re.compile(_TOKEN + r"\Z")
+# A whole line of such tokens; \s is exactly the whitespace str.split()
+# splits on, and \d exactly the digits int() reads.
+_COEFF_LINE = re.compile(r"%s(?:\s+%s)*" % (_TOKEN, _TOKEN))
 
 
 class BasisFile:
@@ -106,6 +110,23 @@ def _int_header(lines, keyword, minimum):
     return out
 
 
+def _coefficients(line, label, number):
+    """The tokens of a coefficient line: an int for 'a', a Fraction for
+    'a/b'.  One match checks the whole line; only a bad line is scanned
+    token by token, to name its first bad token."""
+    tokens = line.split()
+    if not _COEFF_LINE.fullmatch(line):
+        for tok in tokens:
+            if not _RATIONAL.match(tok):
+                raise ParseError(
+                    "bad rational %r in form %r (use 'a' or 'a/b' with "
+                    "b > 0)" % (tok, label), line=number)
+    if "/" not in line:
+        return list(map(int, tokens))
+    return [Fraction(*map(int, tok.split("/"))) if "/" in tok else int(tok)
+            for tok in tokens]
+
+
 def parse_basis_file(text):
     """Parse QEXP text into a BasisFile, without interpreting the forms."""
     lines = _meaningful_lines(text)
@@ -125,16 +146,7 @@ def parse_basis_file(text):
             raise ParseError("expected 'FORM <label>'", line=number)
         label = parts[1].strip()
         number, line = _take(lines, "the coefficients of %r" % label)
-        tokens = line.split()
-        coeffs = []
-        for tok in tokens:
-            match = _RATIONAL.match(tok)
-            if not match:
-                raise ParseError(
-                    "bad rational %r in form %r (use 'a' or 'a/b' with "
-                    "b > 0)" % (tok, label), line=number)
-            num, den = match.groups()
-            coeffs.append(Fraction(int(num), int(den)) if den else int(num))
+        coeffs = _coefficients(line, label, number)
         if len(coeffs) != prec:
             raise ValidationError(
                 "form %r has %d coefficients on line %d, expected PREC = %d"

@@ -1,4 +1,6 @@
+import hashlib
 import io
+import json
 import math
 import os
 import shutil
@@ -223,17 +225,69 @@ def test_level1_verify_failures_byte_for_byte(monkeypatch, change, expected):
 def test_level1_verify_product_budget(monkeypatch):
     # Fixed counts, unlike wall clock; cached Eisenstein series and Delta
     # only lower them.  Every exact_div is a unit inverse inside a
-    # Wronskian: a passing step divides by no power of Delta.
-    calls = {"__mul__": 0, "exact_div": 0}
-    for name in calls:
-        def counted(a, b, name=name, method=getattr(QSeries, name)):
-            calls[name] += 1
-            return method(a, b)
-        monkeypatch.setattr(QSeries, name, counted)
+    # Wronskian: a passing step divides by no power of Delta.  Each step
+    # works modulo its own q^needed, not q^--prec, which the output
+    # coefficients of the products show.
+    calls = {"__mul__": 0, "exact_div": 0, "out_coeffs": 0}
+    product, divide = QSeries.__mul__, QSeries.exact_div
+
+    def counted_product(a, b):
+        calls["__mul__"] += 1
+        result = product(a, b)
+        calls["out_coeffs"] += result.prec
+        return result
+
+    def counted_divide(a, b):
+        calls["exact_div"] += 1
+        return divide(a, b)
+    monkeypatch.setattr(QSeries, "__mul__", counted_product)
+    monkeypatch.setattr(QSeries, "exact_div", counted_divide)
     code, _, _ = run("level1", "verify", "--tmax", "5", "--prec", "40")
     assert code == 0
     assert 0 < calls["__mul__"] <= 118
     assert 0 < calls["exact_div"] <= 15
+    assert 0 < calls["out_coeffs"] <= 2700
+
+
+@pytest.mark.parametrize("prec", ["40", "200"])
+def test_level1_verify_works_at_the_certified_precision(monkeypatch, prec):
+    seen = []
+
+    def spy(fs, m):
+        seen.append({f.prec for f in fs})
+        return q_wronskian(fs, m)
+    monkeypatch.setattr(qweier.cli, "q_wronskian", spy)
+    code, _, _ = run("level1", "verify", "--tmax", "5", "--prec", prec)
+    assert code == 0
+    assert seen == [{3}, {8}, {15}, {23}, {34}]
+
+
+def test_level1_certified_precision_exceeds_the_valence_bound():
+    # W_q - lambda * R_t has weight w = 13t(t+1); a nonzero level-1 form of
+    # weight w vanishes to order at most w/12.
+    for t in range(1, 201):
+        half, rest_weight, needed = qweier.cli._level1_step(t)
+        assert (half, rest_weight) == (t * (t + 1) // 2, 7 * t * (t + 1))
+        assert 12 * needed > 13 * t * (t + 1)
+
+
+_L1_CASES = (
+    [["--tmax", str(t), "--prec", "40"] for t in range(1, 8)]
+    + [["--tmax", "5", "--prec", "60"], ["--tmax", "6", "--prec", "60"]]
+    + [["--tmax", "4", "--prec", p] for p in ("3", "8", "20")]
+    + [["--tmax", "3", "--prec", p] for p in ("3", "19")]
+    + [["--tmax", "2", "--prec", "8"], ["--tmax", "7", "--prec", "60"],
+       ["--tmax", "8", "--prec", "80"]])
+
+
+def test_level1_verify_outputs_match_the_full_precision_route():
+    # Recorded when every step compared all --prec coefficients: passes,
+    # precision errors after some lambdas, and --tmax 8 at --prec 80.
+    rows = [[["level1", "verify"] + a] + list(run("level1", "verify", *a))
+            for a in _L1_CASES]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == (
+        "c86cca9c48287cdbedbe9b4fb8b52596976541c85ba7cc607d17408f9c92fe76")
 
 
 # -- wronskian ----------------------------------------------------------------
@@ -323,6 +377,26 @@ def test_weierstrass_genus_two_without_level_is_hyperelliptic():
     code, out, _ = run("weierstrass", FIX37, "--weight", "4")
     assert code == 0
     assert "genus 2, hence a hyperelliptic curve" in out
+
+
+@pytest.mark.parametrize("stored, level", [(34, 35), (35, 34)])
+def test_weierstrass_rejects_a_level_the_file_contradicts(stored, level):
+    path = str(fixture_path(stored))
+    code, out, err = run("weierstrass", path, "--weight", "4",
+                         "--level", str(level))
+    assert (code, out) == (1, "")
+    assert err == ("error: %s holds a basis for Gamma0(%d), but --level is "
+                   "%d\n" % (path, stored, level))
+
+
+def test_weierstrass_level_check_leaves_free_text_labels_alone(tmp_path):
+    text = fixture_path(34).read_text(encoding="utf-8").replace(
+        "LEVEL Gamma0(34)", "LEVEL X_0(34), from modular symbols")
+    path = tmp_path / "free_label.qexp"
+    path.write_text(text, encoding="utf-8")
+    argv = ("--weight", "4", "--level", "34")
+    assert run("weierstrass", str(path), *argv) == run(
+        "weierstrass", FIX34, *argv)
 
 
 def test_weierstrass_missing_file():

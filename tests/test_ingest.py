@@ -1,9 +1,11 @@
+import hashlib
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import fixture_path, load_fixture
+from conftest import FIXTURE_LEVELS, fixture_path, load_fixture
 from qweier.errors import ParseError, QweierError, ValidationError
 from qweier.ingest import (
     BasisFile,
@@ -13,7 +15,8 @@ from qweier.ingest import (
     parse_basis_file,
     serialize,
 )
-from qweier.weierstrass import required_precision
+from qweier.surface import gamma0_invariants
+from qweier.weierstrass import required_precision, weierstrass_test
 
 GOOD = """\
 QEXP 1
@@ -92,6 +95,111 @@ def test_bad_rational_tokens(token):
     with pytest.raises(ParseError) as info:
         parse_basis_file(bad)
     assert info.value.line == 7
+
+
+# -- coefficient lines against a per-token reference --------------------------
+
+_REFERENCE_TOKEN = re.compile(r"(-?\d+)(?:/([1-9]\d*))?\Z")
+
+
+def reference_coefficients(line, label, number):
+    """One token at a time: the parser the one-pass line match replaced."""
+    coeffs = []
+    for tok in line.strip().split():
+        match = _REFERENCE_TOKEN.match(tok)
+        if not match:
+            raise ParseError(
+                "bad rational %r in form %r (use 'a' or 'a/b' with b > 0)"
+                % (tok, label), line=number)
+        num, den = match.groups()
+        coeffs.append(F(int(num), int(den)) if den else int(num))
+    return coeffs
+
+
+def _typed(coeffs):
+    return [(type(c), c) for c in coeffs]
+
+
+tokens = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30).map(str),
+    st.tuples(st.integers(-99, 99), st.integers(1, 99)).map(
+        lambda nd: "%d/%d" % nd),
+    st.sampled_from(["0", "-0", "007", "4/2", "\u0663", "1/1\u0663",
+                     "+5", "1_0", "\u00b2", "1/0", "1/-2", "--1", "1/",
+                     "/2", "1/\u0663", "x", "1.5"]),
+)
+gaps = st.sampled_from([" ", "  ", "\t", " \t ", "\u00a0"])
+
+
+@st.composite
+def coefficient_lines(draw):
+    toks = draw(st.lists(tokens, min_size=1, max_size=8))
+    line = draw(gaps).join(toks)
+    return draw(st.sampled_from(["", " ", "\t"])) + line + draw(
+        st.sampled_from(["", " ", "\t"]))
+
+
+@given(coefficient_lines(), st.integers(-1, 1))
+@settings(max_examples=300)
+def test_coefficient_lines_parse_as_token_by_token(line, slack):
+    try:
+        expected = reference_coefficients(line, "f0", 7)
+    except ParseError as exc:
+        expected = exc
+    prec = max(len(line.split()) + slack, 1)
+    text = GOOD.replace("PREC 5", "PREC %d" % prec).replace(
+        "0 1 -2 -1 2", line)
+    if isinstance(expected, ParseError):
+        with pytest.raises(ParseError) as info:
+            parse_basis_file(text)
+        assert (str(info.value), info.value.line) == (str(expected), 7)
+    elif len(expected) != prec:
+        with pytest.raises(ValidationError):
+            parse_basis_file(text)
+    else:
+        ((label, coeffs),) = parse_basis_file(text).forms
+        assert label == "f0"
+        assert _typed(coeffs) == _typed(expected)
+
+
+def _bench_inputs():
+    """The two k = 8, 9 QEXP texts the wronskian benchmark generates from
+    the echelon rows of X_0(60) at m = 6, 80 coefficients each."""
+    inv = gamma0_invariants(60)
+    rows = weierstrass_test(
+        load_fixture(60), 6, inv.signature,
+        hyperelliptic_status=inv.hyperelliptic_status).rows
+    texts = []
+    for fs in ([rows[0]] + [r + rows[0] for r in rows[1:8]],
+               list(rows[:8]) + [rows[8] + rows[0]]):
+        lines = ["QEXP 1", "LEVEL Gamma0(60)", "WEIGHT 6", "PREC 80",
+                 "FORMS %d" % len(fs)]
+        for i, row in enumerate(fs):
+            lines += ["FORM r%d" % i, " ".join(map(str, row.coeffs[:80]))]
+        texts.append("\n".join(lines) + "\n")
+    return texts
+
+
+def test_parse_is_unchanged_on_fixtures_and_bench_inputs():
+    bench = _bench_inputs()
+    assert [hashlib.sha256(t.encode()).hexdigest() for t in bench] == [
+        "1b9248a417cae9becea3adb3002598c5a3086d7d16b9c9aa7ed8fd2c1538717c",
+        "9323d4e853bdc2bd7dbf9dc24f37d437a93c952f043816ee3743c3314ad57644"]
+    texts = [fixture_path(n).read_text(encoding="utf-8")
+             for n in FIXTURE_LEVELS] + bench
+    digest = hashlib.sha256()
+    for text in texts:
+        bf = parse_basis_file(text)
+        digest.update(repr((bf.level_label, bf.weight, bf.prec, [
+            (label, _typed(coeffs)) for label, coeffs in bf.forms])).encode())
+        lines = text.splitlines()
+        for label, coeffs in bf.forms:
+            number = lines.index("FORM %s" % label) + 2
+            assert _typed(coeffs) == _typed(reference_coefficients(
+                lines[number - 1], label, number))
+    # Recorded with the token-by-token parser.
+    assert digest.hexdigest() == (
+        "ef7187828740c3cfee807d6584df48dd4a9a176478964927a70ae7ffb5bc124a")
 
 
 def test_truncated_file():
