@@ -150,21 +150,26 @@ def _level1_step(t):
     return half, rest_weight, half + dim_m(rest_weight) + 1
 
 
-def _level1_inputs(t, prec):
-    """The t + 1 inputs E4^(3u) * E6^(2(t-u)), u = t..0, modulo q^prec."""
+def _level1_inputs(prec, tmax):
+    """E4 and E6 modulo q^prec, and inputs(t, n): the t + 1 inputs
+    E4^(3u) * E6^(2(t-u)), u = t..0, modulo q^n for t <= tmax and
+    n <= prec, each one product of two power-ladder entries."""
     e4 = eisenstein_e4(prec).series
     e6 = eisenstein_e6(prec).series
-    return [e4 ** (3 * u) * e6 ** (2 * (t - u)) for u in range(t, -1, -1)]
+    a_pows = power_ladder(QSeries.one(prec), e4 ** 3, tmax + 1)
+    b_pows = power_ladder(QSeries.one(prec), e6 ** 2, tmax + 1)
+
+    def inputs(t, n):
+        return [a_pows[u].truncated(n) * b_pows[t - u].truncated(n)
+                for u in range(t, -1, -1)]
+    return e4, e6, inputs
 
 
 def _cmd_level1(args, out):
     # --prec caps the working precision; each step works modulo its own
     # q^needed, the most the certificate asks for.
     prec = min(args.prec, _level1_step(args.tmax)[2])
-    e4 = eisenstein_e4(prec).series
-    e6 = eisenstein_e6(prec).series
-    a_pows = power_ladder(QSeries.one(prec), e4 ** 3, args.tmax + 1)
-    b_pows = power_ladder(QSeries.one(prec), e6 ** 2, args.tmax + 1)
+    e4, e6, inputs = _level1_inputs(prec, args.tmax)
     # S^t and R_t = S^(t(t+1)/2) for S = Delta * E4^2 * E6, one product
     # each per step.
     s = delta(prec).series * e4 * e4 * e6
@@ -179,9 +184,7 @@ def _cmd_level1(args, out):
                 "certify the weight-%d quotient), got %d"
                 % (t, needed, half, half, needed - half, rest_weight,
                    args.prec))
-        fs = [a_pows[u].truncated(needed) * b_pows[t - u].truncated(needed)
-              for u in range(t, -1, -1)]
-        wq = q_wronskian(fs, 12 * t).series
+        wq = q_wronskian(inputs(t, needed), 12 * t).series
         # R_t = q^half + ..., so the only candidate multiple of it is
         # lambda * R_t with lambda the coefficient of q^half in W_q.
         lam = wq.coeff(half)
@@ -190,7 +193,8 @@ def _cmd_level1(args, out):
             # DependentInput when W_q / Delta^half is no form of weight
             # rest_weight; otherwise it is a form other than a nonzero
             # multiple of E4^(2 half) * E6^half.
-            wq = q_wronskian(_level1_inputs(t, args.prec), 12 * t).series
+            _, _, full = _level1_inputs(args.prec, t)
+            wq = q_wronskian(full(t, args.prec), 12 * t).series
             quotient = wq.exact_div(delta(args.prec).series ** half)
             express_in_monomials(Level1Form(quotient, rest_weight))
             _print(
@@ -244,12 +248,12 @@ def _cmd_weierstrass(args, out):
     genus = len(basis.forms)
     notes = []
     if args.level is not None:
+        inv = gamma0_invariants(args.level)
         named = re.fullmatch(r"Gamma0\((\d+)\)", basis.level_label)
         if named and int(named.group(1)) != args.level:
             raise ValidationError(
                 "%s holds a basis for Gamma0(%d), but --level is %d"
                 % (args.basisfile, int(named.group(1)), args.level))
-        inv = gamma0_invariants(args.level)
         sig = inv.signature
         status = inv.hyperelliptic_status
         header = "Gamma_0(%d): genus %d, %d cusps, hyperelliptic: %s" % (

@@ -1,16 +1,15 @@
 """Exact rational matrices and one fraction-free elimination core.
 
-A RatMatrix holds each row as integers over one denominator, cleared once
-by the lcm of its denominators or handed over as integers by the series
-layer; Fraction appears only in the `entries` view, `row` and the
-coordinates solve_on_rows returns.  Two primitive integer rows are
-combined by cross-multiplication (b*x - a*y, with a and b the two entries
-to cancel over their gcd) and the result is divided by its content: the
+A RatMatrix is built from integer rows, each over one denominator;
+Fraction appears only in the `entries` view and the coordinates
+solve_on_rows returns.  Two primitive integer rows are combined by
+cross-multiplication (b*x - a*y, with a and b the two entries to cancel
+over their gcd) and the result is divided by its content: the
 fraction-free elimination of Bareiss (1968).  Two schedules use it: the
-sorted one of echelon_reduce, which fixes the echelon rows, and one sweep
-over the rows, which finds pivot columns (pivot_columns) and, in the one
-solve solve_on_rows, writes row-space vectors on independent input rows.
-Determinants of series matrices live in wronskian.
+sorted one of echelon_reduce, which fixes the echelon rows, and one
+sweep over the rows, which finds pivot columns (pivot_columns) and, in
+the one solve solve_on_rows, writes row-space vectors on independent
+input rows.  Determinants of series matrices live in wronskian.
 """
 
 from fractions import Fraction
@@ -20,35 +19,19 @@ from .errors import ShapeError
 
 
 class RatMatrix:
-    """Immutable r x c matrix of exact rationals.  Row i is nums[i] /
-    dens[i], integers over one nonzero denominator; entries is the same
-    matrix as Fractions, built on first read."""
+    """Immutable r x c matrix of exact rationals, built by its one
+    constructor RatMatrix(nums, dens, cols): row i is the integers nums[i]
+    over the nonzero denominator dens[i], and every row has cols entries.
+    entries is the same matrix as Fractions, built on first read."""
 
     __slots__ = ("rows", "cols", "nums", "dens", "_entries")
 
-    def __init__(self, entries, cols=None):
-        entries = tuple(
-            tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
-            for row in entries
-        )
-        rows = [_integer_row(row) for row in entries]
-        self._fill([r for r, _ in rows], [d for _, d in rows], cols, entries)
-
-    @classmethod
-    def from_integer_rows(cls, nums, dens, cols):
-        """The matrix whose row i is nums[i] / dens[i], dens[i] != 0."""
-        m = object.__new__(cls)
-        m._fill(nums, dens, cols, None)
-        return m
-
-    def _fill(self, nums, dens, cols, entries):
+    def __init__(self, nums, dens, cols):
         nums = tuple(map(tuple, nums))
-        if cols is None:
-            cols = len(nums[0]) if nums else 0
         if any(len(row) != cols for row in nums):
             raise ShapeError("ragged rows: expected %d columns" % cols)
         _set_slots(self, rows=len(nums), cols=cols, nums=nums,
-                   dens=tuple(dens), _entries=entries)
+                   dens=tuple(dens), _entries=None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
@@ -60,41 +43,6 @@ class RatMatrix:
             _set_slots(self, _entries=tuple(
                 map(_fraction_row, self.nums, self.dens)))
         return self._entries
-
-    @staticmethod
-    def identity(n):
-        return RatMatrix.from_integer_rows(
-            [[int(i == j) for j in range(n)] for i in range(n)], [1] * n, n)
-
-    def row(self, i):
-        return _fraction_row(self.nums[i], self.dens[i])
-
-    def mul(self, other):
-        if self.cols != other.rows:
-            raise ShapeError(
-                "cannot multiply %dx%d by %dx%d"
-                % (self.rows, self.cols, other.rows, other.cols)
-            )
-        out = []
-        for i in range(self.rows):
-            a = self.entries[i]
-            out.append(
-                [
-                    sum((a[k] * other.entries[k][j] for k in range(self.cols)),
-                        Fraction(0))
-                    for j in range(other.cols)
-                ]
-            )
-        return RatMatrix(out, cols=other.cols)
-
-    def __eq__(self, other):
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (
-            other.rows, other.cols, other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self):
         return "RatMatrix(%d x %d)" % (self.rows, self.cols)
@@ -130,8 +78,7 @@ class EchelonResult:
         are supported on the same `rank` independent input rows, so each is
         a valid combination, not the unique one when rank < rows."""
         k = self.rank
-        rows = RatMatrix.from_integer_rows(
-            self.echelon.nums[:k], [1] * k, self.echelon.cols)
+        rows = RatMatrix(self.echelon.nums[:k], [1] * k, self.echelon.cols)
         _, coords = solve_on_rows(self._source, self.pivots, rows)
         return [tuple(x) for x in coords]
 
@@ -143,7 +90,7 @@ class EchelonResult:
 
     def _derive_transform(self):
         m, k = self._source, self.rank
-        rows = RatMatrix.from_integer_rows(
+        rows = RatMatrix(
             self.echelon.nums[:k] + m.nums, [1] * k + list(m.dens), m.cols)
         basis, coords = solve_on_rows(m, self.pivots, rows)
         nums, dens = [], []
@@ -159,7 +106,7 @@ class EchelonResult:
                 ints, _ = _integer_row(x)
                 nums.append(_normalized(ints, _lead(ints, 0, m.rows)))
                 dens.append(1)
-        return RatMatrix.from_integer_rows(nums, dens, cols=m.rows)
+        return RatMatrix(nums, dens, cols=m.rows)
 
 
 def _integer_row(values):
@@ -260,7 +207,7 @@ def echelon_reduce(m):
             ech.append(_normalized(row, p))
         else:
             ech.append([0] * c)
-    return EchelonResult(RatMatrix.from_integer_rows(ech, [1] * r, cols=c),
+    return EchelonResult(RatMatrix(ech, [1] * r, cols=c),
                          pivots, len(pivots), m)
 
 
@@ -345,7 +292,3 @@ def solve_on_rows(m, pivots, targets):
                 x[i] = Fraction(-row[k + s] * m.dens[i], scale)
         coords.append(x)
     return basis, coords
-
-
-def rank(m):
-    return len(pivot_columns(m))

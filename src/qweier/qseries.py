@@ -289,5 +289,5 @@ class QSeries:
 def coefficient_matrix(series, prec):
     """The matrix whose rows are the first prec coefficients of each
     series, handed over as integer rows."""
-    return RatMatrix.from_integer_rows(
+    return RatMatrix(
         [s.nums[:prec] for s in series], [s.den for s in series], cols=prec)

@@ -1,9 +1,11 @@
-"""Shared helpers: bundled fixture bases, golden files, random basis changes."""
+"""Shared helpers: bundled fixture bases, golden files, random basis changes,
+and Fraction matrices with their product."""
 
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
+from qweier.exactlinalg import RatMatrix, _integer_row
 from qweier.ingest import load_basis
 from qweier.qseries import QSeries
 from qweier.weierstrass import CuspBasis
@@ -45,3 +47,20 @@ def random_basis_change(basis, rng):
                 acc = acc + s.scaled(c)
         new.append(acc)
     return CuspBasis.from_series(basis.level_label, new)
+
+
+def rat_matrix(rows, cols):
+    """The RatMatrix of rows of rationals (anything Fraction() accepts),
+    each row cleared by the lcm of its denominators."""
+    cleared = [_integer_row(row) for row in rows]
+    return RatMatrix([n for n, _ in cleared], [d for _, d in cleared], cols)
+
+
+def matrix_product(a, b):
+    """The entries of a * b, computed over Fractions."""
+    assert a.cols == b.rows
+    return tuple(
+        tuple(sum((x * b.entries[k][j] for k, x in enumerate(row)),
+                  Fraction(0))
+              for j in range(b.cols))
+        for row in a.entries)

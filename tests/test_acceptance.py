@@ -6,6 +6,8 @@ One test per item of the package checklist; each prints a single
 integers and rationals throughout — no floating point, no tolerances.
 """
 
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction as F
@@ -15,9 +17,11 @@ from conftest import (
     GOLDEN_DIR,
     FIXTURE_LEVELS,
     load_fixture,
+    matrix_product,
     random_basis_change,
+    rat_matrix,
 )
-from qweier.exactlinalg import RatMatrix, echelon_reduce, pivot_columns
+from qweier.exactlinalg import echelon_reduce, pivot_columns
 from qweier.level1 import (
     Level1Form,
     MonomialExponent,
@@ -40,6 +44,7 @@ from qweier.surface import (
     gamma0_invariants,
 )
 from qweier.weierstrass import (
+    _monomial_matrix,
     monomials,
     subspace_dimension,
     weierstrass_test,
@@ -402,7 +407,8 @@ def test_criterion_8c_report_is_basis_invariant():
                "changes of basis per bundled level")
 
 
-def test_criterion_8d_echelon_invariants_on_random_matrices():
+def _criterion_8d_matrices():
+    """40 seeded random Fraction matrices, each with a row permutation."""
     rng = random.Random(804)
     for _ in range(40):
         r = rng.randrange(2, 7)
@@ -414,20 +420,57 @@ def test_criterion_8d_echelon_invariants_on_random_matrices():
         # sprinkle exact zeros so leading-zero structure varies
         for _ in range(r * c // 3):
             entries[rng.randrange(r)][rng.randrange(c)] = F(0)
-        matrix = RatMatrix(entries, cols=c)
+        perm = list(range(r))
+        rng.shuffle(perm)
+        yield entries, c, perm
+
+
+def test_criterion_8d_echelon_invariants_on_random_matrices():
+    for entries, c, perm in _criterion_8d_matrices():
+        r = len(entries)
+        matrix = rat_matrix(entries, c)
         result = echelon_reduce(matrix)
-        assert result.transform.mul(matrix).entries == result.echelon.entries
+        assert matrix_product(result.transform, matrix) == \
+            result.echelon.entries
         assert list(result.pivots) == sorted(result.pivots)
         assert result.rank == len(result.pivots)
         for i in range(result.rank, r):
-            assert all(x == 0 for x in result.echelon.row(i))
+            assert all(x == 0 for x in result.echelon.entries[i])
         assert pivot_columns(matrix) == list(result.pivots)
-        perm = list(range(r))
-        rng.shuffle(perm)
-        shuffled = RatMatrix([entries[i] for i in perm], cols=c)
+        shuffled = rat_matrix([entries[i] for i in perm], c)
         assert pivot_columns(shuffled) == list(result.pivots)
     _passed(8, "D: transform*input = echelon and pivot-set permutation "
                "invariance on 40 random matrices")
+
+
+#: sha256 of the exact core's output on the 12 bench verdict matrices,
+#: (55, 10), (60, 10) and the 40 criterion-8d matrices: echelon
+#: numerators, pivots, rank, combinations and transform.  A change to it
+#: is a change to the rows the engine reports.
+EXACT_CORE_SHA256 = (
+    "8b1b71225f8c6764620fb57bc74d50c266ac5b49f679b00afd7131d6578d8d29")
+
+
+def test_exact_core_digest_is_pinned():
+    cases = ([(34, m) for m in range(2, 11, 2)]
+             + [(55, m) for m in range(2, 9, 2)]
+             + [(38, 10), (44, 10), (60, 8), (55, 10), (60, 10)])
+    matrices = [_monomial_matrix(load_fixture(n), m)[1] for n, m in cases]
+    matrices += [rat_matrix(entries, c)
+                 for entries, c, _ in _criterion_8d_matrices()]
+    digest = hashlib.sha256()
+    for matrix in matrices:
+        result = echelon_reduce(matrix)
+        digest.update(json.dumps([
+            [list(row) for row in result.echelon.nums],
+            list(result.pivots),
+            result.rank,
+            [[str(x) for x in c] for c in result.combinations()],
+            [[str(x) for x in row] for row in result.transform.entries],
+        ]).encode())
+    assert digest.hexdigest() == EXACT_CORE_SHA256
+    _passed(8, "E: the exact core's output on %d matrices matches its "
+               "pinned sha256" % len(matrices))
 
 
 # -- 9: the two verdict routes agree -------------------------------------------

@@ -389,6 +389,14 @@ def test_weierstrass_rejects_a_level_the_file_contradicts(stored, level):
                    "%d\n" % (path, stored, level))
 
 
+@pytest.mark.parametrize("level", ["0", "-3"])
+def test_weierstrass_nonpositive_level_is_a_level_error(level):
+    # The level is checked before it is compared with the file's label, so
+    # the file is not blamed, as with `signature 0`.
+    assert run("weierstrass", FIX34, "--weight", "4", "--level", level) == (
+        1, "", "error: level must be a positive integer\n")
+
+
 def test_weierstrass_level_check_leaves_free_text_labels_alone(tmp_path):
     text = fixture_path(34).read_text(encoding="utf-8").replace(
         "LEVEL Gamma0(34)", "LEVEL X_0(34), from modular symbols")

@@ -1,8 +1,16 @@
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from qweier.exactlinalg import RatMatrix, echelon_reduce, rank, solve_on_rows
+from conftest import matrix_product, rat_matrix
+from qweier.errors import ShapeError
+from qweier.exactlinalg import (
+    RatMatrix,
+    echelon_reduce,
+    pivot_columns,
+    solve_on_rows,
+)
 
 
 small_entries = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -19,31 +27,52 @@ def small_matrices(draw, max_dim=5, square=False):
             max_size=r,
         )
     )
-    return RatMatrix(rows, cols=c)
+    return rat_matrix(rows, c)
+
+
+def identity_matrix(n):
+    return RatMatrix([[int(i == j) for j in range(n)] for i in range(n)],
+                     [1] * n, n)
 
 
 # -- RatMatrix ----------------------------------------------------------------
 
 
-def test_fraction_entries_are_kept_and_others_converted():
-    half = F(1, 2)
-    m = RatMatrix([[half, 3]])
-    assert m.entries[0][0] is half
-    assert m.entries[0][1] == F(3) and type(m.entries[0][1]) is F
+def test_entries_read_each_row_over_its_denominator():
+    m = RatMatrix([[1, -4], [0, 6]], [2, -3], 2)
+    assert m.entries == ((F(1, 2), F(-2)), (F(0), F(-2)))
+    assert all(type(x) is F for row in m.entries for x in row)
+    assert (m.rows, m.cols) == (2, 2)
+
+
+def test_ragged_rows_raise_shape_error():
+    with pytest.raises(ShapeError):
+        RatMatrix([[1, 2], [3]], [1, 1], 2)
+    with pytest.raises(ShapeError):
+        RatMatrix([[1, 2]], [1], 3)
+
+
+def test_attributes_cannot_be_assigned():
+    m = RatMatrix([[1, 2]], [1], 2)
+    with pytest.raises(AttributeError):
+        m.cols = 3
+    with pytest.raises(AttributeError):
+        m.nums = ((5, 6),)
+    assert m.nums == ((1, 2),) and m.cols == 2
 
 
 # -- echelon_reduce -----------------------------------------------------------
 
 
 def test_identity_is_fixed():
-    r = echelon_reduce(RatMatrix.identity(3))
-    assert r.echelon == RatMatrix.identity(3)
+    r = echelon_reduce(identity_matrix(3))
+    assert r.echelon.entries == identity_matrix(3).entries
     assert r.rank == 3
     assert r.pivots == [0, 1, 2]
 
 
 def test_proportional_rows_leave_a_relation():
-    r = echelon_reduce(RatMatrix([[1, 2], [2, 4]]))
+    r = echelon_reduce(rat_matrix([[1, 2], [2, 4]], 2))
     assert r.rank == 1
     assert r.echelon.entries[1] == (F(0), F(0))
     relation = r.transform.entries[1]
@@ -52,18 +81,18 @@ def test_proportional_rows_leave_a_relation():
 
 
 def test_empty_matrix():
-    r = echelon_reduce(RatMatrix([], cols=4))
+    r = echelon_reduce(rat_matrix([], 4))
     assert r.rank == 0 and r.pivots == []
 
 
 def test_rows_are_content_normalized():
-    r = echelon_reduce(RatMatrix([[F(2, 3), F(4, 3)], [0, F(5)]]))
+    r = echelon_reduce(rat_matrix([[F(2, 3), F(4, 3)], [0, F(5)]], 2))
     assert r.echelon.entries[0] == (F(1), F(2))
     assert r.echelon.entries[1] == (F(0), F(1))
 
 
 def test_leading_entries_positive():
-    r = echelon_reduce(RatMatrix([[-3, 6], [0, -7]]))
+    r = echelon_reduce(rat_matrix([[-3, 6], [0, -7]], 2))
     assert r.echelon.entries[0][0] > 0
     assert r.echelon.entries[1][1] > 0
 
@@ -72,8 +101,9 @@ def test_leading_entries_positive():
 @settings(max_examples=120)
 def test_transform_times_input_is_echelon(m):
     r = echelon_reduce(m)
-    assert r.transform.mul(m) == r.echelon
-    assert rank(r.transform) == m.rows
+    assert (r.transform.rows, r.transform.cols) == (m.rows, m.rows)
+    assert matrix_product(r.transform, m) == r.echelon.entries
+    assert len(pivot_columns(r.transform)) == m.rows
 
 
 @given(small_matrices())
@@ -90,7 +120,7 @@ def test_pivots_strictly_increase(m):
 def test_echelon_is_idempotent_up_to_normalization(m):
     first = echelon_reduce(m)
     second = echelon_reduce(first.echelon)
-    assert second.echelon == first.echelon
+    assert second.echelon.entries == first.echelon.entries
     assert second.pivots == first.pivots
 
 
@@ -98,7 +128,7 @@ def test_echelon_is_idempotent_up_to_normalization(m):
 def test_pivot_set_invariant_under_row_permutation(m, rng):
     perm = list(range(m.rows))
     rng.shuffle(perm)
-    shuffled = RatMatrix([m.entries[i] for i in perm], cols=m.cols)
+    shuffled = rat_matrix([m.entries[i] for i in perm], m.cols)
     assert echelon_reduce(shuffled).pivots == echelon_reduce(m).pivots
 
 
@@ -122,7 +152,7 @@ def rank_deficient_matrices(draw):
             coeffs = draw(st.lists(small_entries, min_size=k, max_size=k))
             rows.append([sum((a * b[j] for a, b in zip(coeffs, base)), F(0))
                          for j in range(c)])
-    return RatMatrix(rows, cols=c)
+    return rat_matrix(rows, c)
 
 
 def _combine(coeffs, m):
@@ -140,11 +170,12 @@ def test_solve_writes_row_space_vectors_on_independent_rows(m, mix):
     # and the input rows themselves, over their denominators.
     extra = [sum(a * row[j] for a, row in zip(mix, m.nums))
              for j in range(m.cols)]
-    targets = RatMatrix(list(r.echelon.entries[:r.rank]) + [extra]
-                        + list(m.entries), cols=m.cols)
+    targets = rat_matrix(list(r.echelon.entries[:r.rank]) + [extra]
+                         + list(m.entries), m.cols)
     basis, coords = solve_on_rows(m, r.pivots, targets)
     assert len(basis) == r.rank
-    assert rank(RatMatrix([m.entries[i] for i in basis], cols=m.cols)) == r.rank
+    independent = rat_matrix([m.entries[i] for i in basis], m.cols)
+    assert len(pivot_columns(independent)) == r.rank
     assert len(coords) == targets.rows
     for target, x in zip(targets.entries, coords):
         assert len(x) == m.rows
@@ -153,12 +184,12 @@ def test_solve_writes_row_space_vectors_on_independent_rows(m, mix):
     assert r.combinations() == [tuple(x) for x in coords[:r.rank]]
 
 
-# -- rank ----------------------------------------------------------------------
+# -- rank, as the pivot count ------------------------------------------------
 
 
 def test_rank_zero_matrix():
-    assert rank(RatMatrix([[0, 0], [0, 0]])) == 0
+    assert pivot_columns(rat_matrix([[0, 0], [0, 0]], 2)) == []
 
 
 def test_rank_identity():
-    assert rank(RatMatrix.identity(4)) == 4
+    assert pivot_columns(identity_matrix(4)) == [0, 1, 2, 3]
