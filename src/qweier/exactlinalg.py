@@ -15,23 +15,31 @@ input rows.  Determinants of series matrices live in wronskian.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
 
 
 class RatMatrix:
     """Immutable r x c matrix of exact rationals, built by its one
     constructor RatMatrix(nums, dens, cols): row i is the integers nums[i]
-    over the nonzero denominator dens[i], and every row has cols entries.
-    entries is the same matrix as Fractions, built on first read."""
+    over the nonzero denominator dens[i], and every row has cols entries;
+    anything else raises ShapeError, or DomainError for a zero
+    denominator.  entries is the same matrix as Fractions, built on first
+    read."""
 
     __slots__ = ("rows", "cols", "nums", "dens", "_entries")
 
     def __init__(self, nums, dens, cols):
         nums = tuple(map(tuple, nums))
+        dens = tuple(dens)
         if any(len(row) != cols for row in nums):
             raise ShapeError("ragged rows: expected %d columns" % cols)
-        _set_slots(self, rows=len(nums), cols=cols, nums=nums,
-                   dens=tuple(dens), _entries=None)
+        if len(dens) != len(nums):
+            raise ShapeError("%d denominators for %d rows"
+                             % (len(dens), len(nums)))
+        if not all(dens):
+            raise DomainError("a row denominator is zero")
+        _set_slots(self, rows=len(nums), cols=cols, nums=nums, dens=dens,
+                   _entries=None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")

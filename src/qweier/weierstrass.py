@@ -25,7 +25,7 @@ from math import prod
 
 from .errors import (DomainError, HyperellipticUnsupported, PrecisionError,
                      RankDeficit, ValidationError)
-from .exactlinalg import echelon_reduce, pivot_columns
+from .exactlinalg import RatMatrix, echelon_reduce, pivot_columns
 from .qseries import QSeries, coefficient_matrix
 from .surface import (HYPERELLIPTIC, NOT_HYPERELLIPTIC, _require_even_weight,
                       dim_s_h)
@@ -142,31 +142,26 @@ class WeierstrassReport:
 
 
 def required_precision(g, m):
-    """Coefficients through q^(m/2 + m(g-1)) are needed to read off the
-    largest admissible leading exponent, plus one guard term: returns
-    m/2 + m(g-1) + 1."""
+    """The number of coefficients that fix the monomial matrix's rank:
+    m/2 + m(g-1) + 1.
+
+    On a curve of genus g, a nonzero weight-m form coming from a
+    holomorphic (m/2)-differential vanishes at the cusp (of width 1) to
+    q-order at most m/2 + m(g-1), the degree of (m/2)K plus m/2.  So every
+    nonzero form of S^H_m, in particular every nonzero combination of
+    degree-(m/2) monomials in a basis of the weight-2 cusp forms, has a
+    nonzero coefficient below q^(m/2 + m(g-1) + 1), the largest admissible
+    leading exponent plus one guard term.  Series that are not such a
+    basis carry no such bound."""
     if g < 1:
         raise DomainError("genus must be >= 1")
     _require_even_weight(m, 2)
     return m // 2 + m * (g - 1) + 1
 
 
-def monomials(basis, m):
-    """All degree-(m/2) monomials in the basis forms, in lexicographically
-    decreasing exponent order, as (exponent vector, series) pairs.
-
-    For m = 2 the list is the basis itself.  Each product is truncated to
-    the common basis precision.  The shared-prefix recursion runs on
-    Kronecker-packed integers: each form's numerator row becomes one
-    signed integer evaluated at 2^w, each tree node is one integer product
-    truncated modulo q^prec, and each monomial is unpacked once and put
-    over den_0^a_0 * ... * den_(g-1)^a_(g-1) in lowest terms.  Every
-    coefficient of a degree-(m/2) product of numerator rows is at most
-    norm**(m/2) in absolute value, where norm is the largest l1 norm of a
-    form's numerators, so w = bit_length(norm**(m/2)) + 1 bits, rounded up
-    to 1, 2, 4 or 8 bytes, keeps every digit exact.  The result is the same
-    (nums, den, prec) as a chain of QSeries products.
-    """
+def _checked_precision(basis, m):
+    """required_precision(genus, m), after checking that m is an even
+    weight and that the basis carries that many coefficients."""
     _require_even_weight(m, 2)
     g = basis.genus
     need = required_precision(g, m)
@@ -174,18 +169,52 @@ def monomials(basis, m):
         raise PrecisionError(
             "basis precision %d is below the %d coefficients required for "
             "genus %d, weight %d" % (basis.prec, need, g, m))
-    fs = basis.series_list()
+    return need
+
+
+def monomials(basis, m):
+    """All degree-(m/2) monomials in the basis forms, in lexicographically
+    decreasing exponent order, as (exponent vector, series) pairs.
+
+    For m = 2 the list is the basis itself.  Each product is truncated to
+    the common basis precision.  The packed leaves of _packed_monomials,
+    at prec = basis.prec, are each unpacked once and put over den_0^a_0 *
+    ... * den_(g-1)^a_(g-1) in lowest terms.  The result is the same
+    (nums, den, prec) as a chain of QSeries products.
+    """
+    _checked_precision(basis, m)
+    ring, leaves = _packed_monomials(basis, m, basis.prec)
+    dens = [f.series.den for f in basis.forms]
+    return [(vec, QSeries.from_numerators(ring.unpack(x),
+                                          prod(map(pow, dens, vec))))
+            for vec, x in leaves]
+
+
+def _packed_monomials(basis, m, prec):
+    """(ring, leaves): the degree-(m/2) products of the basis forms'
+    numerator rows modulo q^prec, as (exponent vector, packed row) pairs
+    in lexicographically decreasing exponent order, and the _PackedRows
+    that reads them.
+
+    The shared-prefix recursion runs on Kronecker-packed integers: each
+    numerator row, cut to prec coefficients, becomes one signed integer
+    evaluated at 2^w, and each tree node is one integer product truncated
+    modulo q^prec.  A coefficient below q^prec of a product involves only
+    the coefficients below q^prec of its factors, so it is at most
+    norm**(m/2) in absolute value, where norm is the largest l1 norm of a
+    cut row; w = bit_length(norm**(m/2)) + 1 bits, rounded up to 1, 2, 4
+    or 8 bytes, keeps every digit exact.
+    """
     d = m // 2
-    ring = _PackedRows(basis.prec,
-                       max(sum(map(abs, f.nums)) for f in fs) ** d)
-    xs = [ring.pack(f.nums) for f in fs]
+    rows = [f.nums[:prec] for f in basis.series_list()]
+    ring = _PackedRows(prec, max(sum(map(abs, row)) for row in rows) ** d)
+    xs = [ring.pack(row) for row in rows]
     last = [1]
     for _ in range(d):
         last.append(ring.mul(last[-1], xs[-1]))
-    out = []
-    _extend_monomials(ring, xs, last, [f.den for f in fs], 0, d, 1,
-                      [0] * g, out)
-    return out
+    leaves = []
+    _extend_monomials(ring, xs, last, 0, d, 1, [0] * len(xs), leaves)
+    return ring, leaves
 
 
 class _PackedRows:
@@ -238,19 +267,16 @@ class _PackedRows:
         return row if sys.byteorder == "little" else row[::-1]
 
 
-def _extend_monomials(ring, xs, last, dens, i, rem, prefix, vec, out):
-    """Append to out every (exponent vector, series) pair prefix *
+def _extend_monomials(ring, xs, last, i, rem, prefix, vec, out):
+    """Append to out every (exponent vector, packed row) pair prefix *
     xs[i]^a_i * ... * xs[-1]^a_last with a_i + ... + a_last = rem, in
-    lexicographically decreasing order.  xs are the packed basis forms,
-    last[j] is xs[-1]^j, dens are the forms' denominators and vec[:i]
-    holds the exponents already fixed.  A module-level function rather
-    than a nested one, so no closure refers to itself and out is freed as
-    soon as the caller drops it."""
+    lexicographically decreasing order.  xs are the packed rows, last[j]
+    is xs[-1]^j and vec[:i] holds the exponents already fixed.  A
+    module-level function rather than a nested one, so no closure refers
+    to itself and out is freed as soon as the caller drops it."""
     if i == len(xs) - 1:
         vec[i] = rem
-        out.append((tuple(vec), QSeries.from_numerators(
-            ring.unpack(ring.mul(prefix, last[rem])),
-            prod(map(pow, dens, vec)))))
+        out.append((tuple(vec), ring.mul(prefix, last[rem])))
         vec[i] = 0
         return
     chain = [prefix]
@@ -258,8 +284,7 @@ def _extend_monomials(ring, xs, last, dens, i, rem, prefix, vec, out):
         chain.append(ring.mul(chain[-1], xs[i]))
     for a in range(rem, -1, -1):
         vec[i] = a
-        _extend_monomials(ring, xs, last, dens, i + 1, rem - a, chain[a],
-                          vec, out)
+        _extend_monomials(ring, xs, last, i + 1, rem - a, chain[a], vec, out)
     vec[i] = 0
 
 
@@ -269,9 +294,22 @@ def _monomial_matrix(basis, m):
 
 
 def subspace_dimension(basis, m):
-    """dim S^H_{m,2}: the rank of the degree-(m/2) monomial matrix."""
-    _, matrix = _monomial_matrix(basis, m)
-    return len(pivot_columns(matrix))
+    """dim S^H_{m,2}: the rank of the degree-(m/2) monomial matrix, read
+    on its first need = required_precision(genus, m) columns.
+
+    When the basis is a basis of the weight-2 cusp forms of a genus-g
+    curve, no nonzero combination of the monomials vanishes to q-order
+    need or more (see required_precision), so those columns carry the
+    whole rank.  The rows are the monomials' numerator products modulo q^need,
+    unpacked once and never put over their denominators: a row's scale
+    does not move the pivot columns.  On series that are not such a basis
+    the rank on need columns can fall below the rank on all basis.prec
+    columns.
+    """
+    need = _checked_precision(basis, m)
+    ring, leaves = _packed_monomials(basis, m, need)
+    rows = [ring.unpack(x) for _, x in leaves]
+    return len(pivot_columns(RatMatrix(rows, [1] * len(rows), need)))
 
 
 def weierstrass_test(basis, m, sig, hyperelliptic_status=NOT_HYPERELLIPTIC):

@@ -279,9 +279,10 @@ def test_criterion_6_weierstrass_fixtures():
 
 
 def test_criterion_7_monomial_ranks():
+    # Every even m from 4 to 14 whose required precision the fixture holds.
     for level, weights in (
-        (34, range(4, 13, 2)), (38, range(4, 13, 2)), (44, range(4, 13, 2)),
-        (55, range(4, 13, 2)), (54, range(4, 11, 2)), (60, range(4, 11, 2)),
+        (34, range(4, 15, 2)), (38, range(4, 15, 2)), (44, range(4, 15, 2)),
+        (55, range(4, 15, 2)), (54, range(4, 15, 2)), (60, range(4, 13, 2)),
     ):
         basis = load_fixture(level)
         g = basis.genus
@@ -290,8 +291,11 @@ def test_criterion_7_monomial_ranks():
     basis35 = load_fixture(35)
     for m in range(4, 15, 2):
         assert subspace_dimension(basis35, m) == m + 1, m
+    basis37 = load_fixture(37)
+    for m in range(4, 15, 2):
+        assert subspace_dimension(basis37, m) == m // 2 + 1, m
     _passed(7, "rank (m-1)(g-1) on six non-hyperelliptic levels; rank m+1 "
-               "on hyperelliptic X_0(35)")
+               "on hyperelliptic X_0(35) and m/2+1 on genus-2 X_0(37)")
 
 
 # -- 8: property suites -------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import matrix_product, rat_matrix
-from qweier.errors import ShapeError
+from qweier.errors import DomainError, ShapeError
 from qweier.exactlinalg import (
     RatMatrix,
     echelon_reduce,
@@ -50,6 +50,20 @@ def test_ragged_rows_raise_shape_error():
         RatMatrix([[1, 2], [3]], [1, 1], 2)
     with pytest.raises(ShapeError):
         RatMatrix([[1, 2]], [1], 3)
+
+
+def test_denominator_count_must_match_rows():
+    with pytest.raises(ShapeError):
+        RatMatrix([[1], [2]], [1], 1)
+    with pytest.raises(ShapeError):
+        RatMatrix([[1]], [1, 1], 1)
+
+
+def test_zero_denominator_is_a_domain_error():
+    with pytest.raises(DomainError):
+        RatMatrix([[1]], [0], 1)
+    with pytest.raises(DomainError):
+        RatMatrix([[1, 2], [3, 4]], [5, 0], 2)
 
 
 def test_attributes_cannot_be_assigned():

@@ -15,7 +15,8 @@ from qweier.errors import (
     RankDeficit,
     ValidationError,
 )
-from qweier.qseries import QSeries
+from qweier.exactlinalg import pivot_columns
+from qweier.qseries import QSeries, coefficient_matrix
 from qweier.surface import (
     HYPERELLIPTIC,
     NOT_HYPERELLIPTIC,
@@ -266,6 +267,55 @@ def test_subspace_dimension_on_fixtures():
     # hyperelliptic: the monomials span a proper subspace of dimension m+1
     assert subspace_dimension(load_fixture(35), 4) == 5
     assert subspace_dimension(load_fixture(35), 6) == 7
+
+
+def _full_width_rank(basis, m):
+    """The rank of the monomial matrix on all basis.prec columns."""
+    mono = [s for _, s in monomials(basis, m)]
+    return len(pivot_columns(coefficient_matrix(mono, basis.prec)))
+
+
+@pytest.mark.parametrize("level", FIXTURE_LEVELS)
+def test_subspace_dimension_equals_the_full_width_rank(level):
+    # subspace_dimension reads required_precision columns only; on a basis
+    # of the weight-2 cusp forms that must lose no rank.  Checked on the
+    # fixture at every even m <= 14 whose required precision it holds, and
+    # on three unimodular changes of it at those m <= 8: the changed bases'
+    # wider entries make the full-width reference take seconds past that.
+    basis = load_fixture(level)
+    weights = [m for m in range(2, 15, 2)
+               if required_precision(basis.genus, m) <= basis.prec]
+    for m in weights:
+        assert subspace_dimension(basis, m) == _full_width_rank(basis, m), m
+    rng = random.Random(2000 + level)
+    for _ in range(3):
+        other = random_basis_change(basis, rng)
+        for m in weights:
+            if m <= 8:
+                assert subspace_dimension(other, m) \
+                    == _full_width_rank(other, m), m
+
+
+def _cut(basis, prec):
+    return CuspBasis.from_series(
+        basis.level_label, [s.truncated(prec) for s in basis.series_list()])
+
+
+@pytest.mark.parametrize("level,m", [(34, 4), (44, 10), (55, 10), (60, 8)])
+def test_subspace_dimension_needs_exactly_required_precision(level, m):
+    # At these weights a pivot sits on the last required column, so a
+    # basis cut to required_precision coefficients still has the full
+    # rank, and one coefficient fewer is refused as monomials() refuses it.
+    basis = load_fixture(level)
+    need = required_precision(basis.genus, m)
+    assert subspace_dimension(_cut(basis, need), m) \
+        == subspace_dimension(basis, m)
+    short = _cut(basis, need - 1)
+    with pytest.raises(PrecisionError) as got:
+        subspace_dimension(short, m)
+    with pytest.raises(PrecisionError) as want:
+        monomials(short, m)
+    assert str(got.value) == str(want.value)
 
 
 # -- weierstrass_test on the bundled bases ------------------------------------
