@@ -21,7 +21,7 @@ import re
 import sys
 from functools import lru_cache
 
-from .errors import PrecisionError, QweierError, ValidationError
+from .errors import PrecisionError, QweierError, RankDeficit, ValidationError
 from .ingest import load_basis, load_series, load_signature
 from .level1 import (
     Level1Form,
@@ -184,7 +184,7 @@ def _cmd_level1(args, out):
                 "certify the weight-%d quotient), got %d"
                 % (t, needed, half, half, needed - half, rest_weight,
                    args.prec))
-        wq = q_wronskian(inputs(t, needed), 12 * t).series
+        wq = q_wronskian(inputs(t, needed))
         # R_t = q^half + ..., so the only candidate multiple of it is
         # lambda * R_t with lambda the coefficient of q^half in W_q.
         lam = wq.coeff(half)
@@ -194,7 +194,7 @@ def _cmd_level1(args, out):
             # rest_weight; otherwise it is a form other than a nonzero
             # multiple of E4^(2 half) * E6^half.
             _, _, full = _level1_inputs(args.prec, t)
-            wq = q_wronskian(full(t, args.prec), 12 * t).series
+            wq = q_wronskian(full(t, args.prec))
             quotient = wq.exact_div(delta(args.prec).series ** half)
             express_in_monomials(Level1Form(quotient, rest_weight))
             _print(
@@ -226,17 +226,18 @@ def _cmd_wronskian(args, out):
     )
     _print(out, "q-Wronskian weight: %d" % wronskian_weight(k, weight))
     spans = span_valuations(series)
+    total = sum(spans)
     _print(
         out,
         "span valuations: %s (total %d)"
-        % (" ".join(str(v) for v in spans.valuations), spans.total),
+        % (" ".join(str(v) for v in spans), total),
     )
     val = wronskian_valuation(series)
     _print(out, "q-Wronskian valuation: %d" % val)
-    if val == spans.total:
-        _print(out, "cusp-order identity: OK (%d = %d)" % (val, spans.total))
+    if val == total:
+        _print(out, "cusp-order identity: OK (%d = %d)" % (val, total))
         return 0
-    _print(out, "cusp-order identity: FAILED (%d != %d)" % (val, spans.total))
+    _print(out, "cusp-order identity: FAILED (%d != %d)" % (val, total))
     return 1
 
 
@@ -279,7 +280,22 @@ def _cmd_weierstrass(args, out):
     _print(out, header)
     for note in notes:
         _print(out, note)
-    report = weierstrass_test(basis, args.weight, sig, hyperelliptic_status=status)
+    try:
+        report = weierstrass_test(basis, args.weight, sig,
+                                  hyperelliptic_status=status)
+    except RankDeficit:
+        # Without --level the CLI, not the user, assumed the curve is not
+        # hyperelliptic; past m = 2 a rank deficit may refute that
+        # assumption rather than the basis.
+        if args.level is not None or status != NOT_HYPERELLIPTIC \
+                or args.weight == 2:
+            raise
+        raise RankDeficit(
+            "the degree-%d monomials span less than dim S^H_%d, so the basis "
+            "is defective or the curve is hyperelliptic; with no --level "
+            "given, the curve was assumed not hyperelliptic: pass --level N "
+            "to test it as X_0(N)" % (args.weight // 2, args.weight)
+        ) from None
     _print(
         out,
         "weight m = %d: %d monomials of degree %d, expected dim %d, rank %d"

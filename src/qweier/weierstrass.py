@@ -26,7 +26,7 @@ from math import prod
 from .errors import (DomainError, HyperellipticUnsupported, PrecisionError,
                      RankDeficit, ValidationError)
 from .exactlinalg import RatMatrix, echelon_reduce, pivot_columns
-from .qseries import QSeries, coefficient_matrix
+from .qseries import QSeries
 from .surface import (HYPERELLIPTIC, NOT_HYPERELLIPTIC, _require_even_weight,
                       dim_s_h)
 from .wronskian import wronskian_valuation
@@ -177,24 +177,24 @@ def monomials(basis, m):
     decreasing exponent order, as (exponent vector, series) pairs.
 
     For m = 2 the list is the basis itself.  Each product is truncated to
-    the common basis precision.  The packed leaves of _packed_monomials,
-    at prec = basis.prec, are each unpacked once and put over den_0^a_0 *
-    ... * den_(g-1)^a_(g-1) in lowest terms.  The result is the same
-    (nums, den, prec) as a chain of QSeries products.
+    the common basis precision: row i of _monomial_matrix(basis, m,
+    basis.prec) over its denominator, put in lowest terms by
+    QSeries.from_numerators.  The result is the same (nums, den, prec) as
+    a chain of QSeries products.
     """
     _checked_precision(basis, m)
-    ring, leaves = _packed_monomials(basis, m, basis.prec)
-    dens = [f.series.den for f in basis.forms]
-    return [(vec, QSeries.from_numerators(ring.unpack(x),
-                                          prod(map(pow, dens, vec))))
-            for vec, x in leaves]
+    vecs, matrix = _monomial_matrix(basis, m, basis.prec)
+    return [(vec, QSeries.from_numerators(row, den))
+            for vec, row, den in zip(vecs, matrix.nums, matrix.dens)]
 
 
-def _packed_monomials(basis, m, prec):
-    """(ring, leaves): the degree-(m/2) products of the basis forms'
-    numerator rows modulo q^prec, as (exponent vector, packed row) pairs
-    in lexicographically decreasing exponent order, and the _PackedRows
-    that reads them.
+def _monomial_matrix(basis, m, prec):
+    """(vecs, matrix): the degree-(m/2) monomials in the basis forms
+    modulo q^prec, vecs their exponent vectors in lexicographically
+    decreasing order and matrix the RatMatrix whose row i is monomial i,
+    the integer product of the numerator rows over den_0^a_0 * ... *
+    den_(g-1)^a_(g-1), a = vecs[i], not reduced to lowest terms.  The
+    caller checks the weight and the precision.
 
     The shared-prefix recursion runs on Kronecker-packed integers: each
     numerator row, cut to prec coefficients, becomes one signed integer
@@ -203,7 +203,7 @@ def _packed_monomials(basis, m, prec):
     the coefficients below q^prec of its factors, so it is at most
     norm**(m/2) in absolute value, where norm is the largest l1 norm of a
     cut row; w = bit_length(norm**(m/2)) + 1 bits, rounded up to 1, 2, 4
-    or 8 bytes, keeps every digit exact.
+    or 8 bytes, keeps every digit exact.  Each leaf is unpacked once.
     """
     d = m // 2
     rows = [f.nums[:prec] for f in basis.series_list()]
@@ -214,7 +214,10 @@ def _packed_monomials(basis, m, prec):
         last.append(ring.mul(last[-1], xs[-1]))
     leaves = []
     _extend_monomials(ring, xs, last, 0, d, 1, [0] * len(xs), leaves)
-    return ring, leaves
+    dens = [f.series.den for f in basis.forms]
+    vecs = [vec for vec, _ in leaves]
+    return vecs, RatMatrix([ring.unpack(x) for _, x in leaves],
+                           [prod(map(pow, dens, vec)) for vec in vecs], prec)
 
 
 class _PackedRows:
@@ -288,11 +291,6 @@ def _extend_monomials(ring, xs, last, i, rem, prefix, vec, out):
     vec[i] = 0
 
 
-def _monomial_matrix(basis, m):
-    mono = monomials(basis, m)
-    return mono, coefficient_matrix([s for _, s in mono], basis.prec)
-
-
 def subspace_dimension(basis, m):
     """dim S^H_{m,2}: the rank of the degree-(m/2) monomial matrix, read
     on its first need = required_precision(genus, m) columns.
@@ -300,16 +298,12 @@ def subspace_dimension(basis, m):
     When the basis is a basis of the weight-2 cusp forms of a genus-g
     curve, no nonzero combination of the monomials vanishes to q-order
     need or more (see required_precision), so those columns carry the
-    whole rank.  The rows are the monomials' numerator products modulo q^need,
-    unpacked once and never put over their denominators: a row's scale
-    does not move the pivot columns.  On series that are not such a basis
-    the rank on need columns can fall below the rank on all basis.prec
-    columns.
+    whole rank.  The matrix is _monomial_matrix(basis, m, need).  On
+    series that are not such a basis the rank on need columns can fall
+    below the rank on all basis.prec columns.
     """
     need = _checked_precision(basis, m)
-    ring, leaves = _packed_monomials(basis, m, need)
-    rows = [ring.unpack(x) for _, x in leaves]
-    return len(pivot_columns(RatMatrix(rows, [1] * len(rows), need)))
+    return len(pivot_columns(_monomial_matrix(basis, m, need)[1]))
 
 
 def weierstrass_test(basis, m, sig, hyperelliptic_status=NOT_HYPERELLIPTIC):
@@ -321,7 +315,9 @@ def weierstrass_test(basis, m, sig, hyperelliptic_status=NOT_HYPERELLIPTIC):
     monomials provably span S^H_m there, so a shortfall means bad input).
     Pass surface.HYPERELLIPTIC to get, instead, HyperellipticUnsupported
     for m >= 6 (the span is provably proper) or a SPAN_NOT_GUARANTEED
-    report at m = 4.
+    report at m = 4.  The matrix is _monomial_matrix(basis, m,
+    basis.prec): reading all stored columns lets rank > t expose a basis
+    that is not one of the weight-2 cusp forms.
     """
     if sig.genus != basis.genus:
         raise DomainError(
@@ -330,8 +326,8 @@ def weierstrass_test(basis, m, sig, hyperelliptic_status=NOT_HYPERELLIPTIC):
     if basis.genus < 2:
         raise DomainError(
             "no (m/2)-Weierstrass points exist for genus 0 or 1")
-    _require_even_weight(m, 2)
-    mono, matrix = _monomial_matrix(basis, m)
+    _checked_precision(basis, m)
+    vecs, matrix = _monomial_matrix(basis, m, basis.prec)
     result = echelon_reduce(matrix)
     t = dim_s_h(sig, m)
     rank = result.rank
@@ -368,14 +364,14 @@ def weierstrass_test(basis, m, sig, hyperelliptic_status=NOT_HYPERELLIPTIC):
     return WeierstrassReport(
         m=m,
         expected_dim=t,
-        monomial_count=len(mono),
+        monomial_count=len(vecs),
         rank=rank,
         gap_sequence=pivots,
         is_weierstrass=is_weierstrass,
         criterion_bound=m // 2 + m * (basis.genus - 1),
         rows=rows,
         combinations=combinations,
-        monomial_exponents=[v for v, _ in mono],
+        monomial_exponents=vecs,
         flags=flags,
     )
 

@@ -26,45 +26,6 @@ from .exactlinalg import pivot_columns
 from .qseries import QSeries, coefficient_matrix
 
 
-class WronskianOutput:
-    """The q-Wronskian series with its weight bookkeeping.
-
-    The holomorphic-derivative Wronskian W differs from W_q by the nonzero
-    scalar (2 pi i / h)^(k(k-1)/2); that transcendental factor is recorded
-    as scalar_exponent only and never evaluated, so q-valuations and
-    vanishing statements transfer verbatim.
-    """
-
-    __slots__ = ("series", "input_count", "input_weight", "output_weight",
-                 "scalar_exponent")
-
-    def __init__(self, series, input_count, input_weight):
-        self.series = series
-        self.input_count = input_count
-        self.input_weight = input_weight
-        self.output_weight = wronskian_weight(input_count, input_weight)
-        self.scalar_exponent = scalar_exponent(input_count)
-
-    def __repr__(self):
-        return "WronskianOutput(k=%d, m=%d, weight=%d, %s)" % (
-            self.input_count, self.input_weight, self.output_weight,
-            self.series.qstring(4))
-
-
-class SpanValuations:
-    """The k distinct q-valuations attainable in the span of k independent
-    series, and their sum."""
-
-    __slots__ = ("valuations", "total")
-
-    def __init__(self, valuations):
-        self.valuations = tuple(valuations)
-        self.total = sum(self.valuations)
-
-    def __repr__(self):
-        return "SpanValuations(%s, total=%d)" % (list(self.valuations), self.total)
-
-
 def wronskian_weight(k, m):
     """Weight k(m + k - 1) of the q-Wronskian of k weight-m forms."""
     if k < 1:
@@ -146,12 +107,19 @@ def _reduced_det(fs, vals, prec):
     return (det if sign > 0 else -det).shifted(shift)
 
 
-def q_wronskian(fs, m):
-    """The q-Wronskian det[(q d/dq)^i f_j] of k = len(fs) series of common
-    weight m, with guaranteed output precision equal to the common input
+def q_wronskian(fs):
+    """The q-Wronskian W_q = det[(q d/dq)^i f_j] of k = len(fs) series, as
+    a QSeries with guaranteed precision equal to the common input
     precision: the reduced determinant, taken by theta-reduction, is
     known modulo q^(prec - max(v_j)), and the shift by sum(v_j) restores
-    prec."""
+    prec.
+
+    For k forms of weight m and cusp width h, the Wronskian in the
+    holomorphic derivative d/dz, of weight wronskian_weight(k, m), is W_q
+    times the nonzero scalar (2 pi i / h)^scalar_exponent(k).  That
+    transcendental factor is never evaluated, so q-valuations and
+    vanishing statements transfer verbatim.
+    """
     k = len(fs)
     if k == 0:
         raise EmptyInput("q-Wronskian of an empty list")
@@ -165,9 +133,9 @@ def q_wronskian(fs, m):
     if None in vals:
         # A column is zero modulo the stored precision, hence so is the
         # determinant.
-        return WronskianOutput(QSeries.zero(prec), k, m)
+        return QSeries.zero(prec)
     det = _reduced_det(fs, vals, prec - max(vals))
-    return WronskianOutput(det.shifted(sum(vals)).truncated(prec), k, m)
+    return det.shifted(sum(vals)).truncated(prec)
 
 
 def wronskian_valuation(fs):
@@ -226,8 +194,11 @@ def wronskian_valuation(fs):
 
 
 def span_valuations(fs):
-    """The k distinct valuations attainable in the span of fs, read off the
-    pivot columns of the echelon form of the coefficient matrix."""
+    """The k distinct valuations attainable in the span of the k series
+    fs, increasing, as a tuple: the pivot columns of their coefficient
+    matrix on the common precision.  Their sum is the q-valuation of the
+    q-Wronskian (the cusp-order identity).  Raises DependentInput when
+    fewer than k columns are pivots."""
     k = len(fs)
     if k == 0:
         raise EmptyInput("span of an empty list")
@@ -239,7 +210,7 @@ def span_valuations(fs):
             "dependent or the precision (%d) is insufficient to separate them"
             % (len(pivots), k, prec)
         )
-    return SpanValuations(pivots)
+    return tuple(pivots)
 
 
 def cusp_order_identity_check(fs):
@@ -247,7 +218,7 @@ def cusp_order_identity_check(fs):
     sum of the span valuations (rhs); the two are provably equal for any
     list of linearly independent forms."""
     lhs = wronskian_valuation(fs)
-    rhs = span_valuations(fs).total
+    rhs = sum(span_valuations(fs))
     return lhs, rhs, lhs == rhs
 
 

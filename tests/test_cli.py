@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -25,7 +26,7 @@ from qweier.level1 import (
 from qweier.qseries import QSeries
 from qweier.surface import gamma0_invariants
 from qweier.weierstrass import weierstrass_test
-from qweier.wronskian import WronskianOutput, q_wronskian, wronskian_weight
+from qweier.wronskian import q_wronskian, wronskian_weight
 
 
 def run(*argv):
@@ -172,7 +173,7 @@ def test_level1_verify_agrees_with_the_monomial_solve():
     for t in range(1, 7):
         half = t * (t + 1) // 2
         fs = [e4 ** (3 * u) * e6 ** (2 * (t - u)) for u in range(t, -1, -1)]
-        quotient = q_wronskian(fs, 12 * t).series.exact_div(
+        quotient = q_wronskian(fs).exact_div(
             delta(prec).series ** half)
         weight = wronskian_weight(t + 1, 12 * t) - 12 * half
         ((exponent, lam),) = express_in_monomials(Level1Form(quotient, weight))
@@ -185,11 +186,11 @@ def test_level1_verify_agrees_with_the_monomial_solve():
 
 def _replaced_at_t2(change):
     """q_wronskian with the t = 2 Wronskian series w replaced by change(w)."""
-    def fake(fs, m):
-        w = q_wronskian(fs, m)
+    def fake(fs):
+        w = q_wronskian(fs)
         if len(fs) != 3:
             return w
-        return WronskianOutput(change(w.series), 3, m)
+        return change(w)
     return fake
 
 
@@ -253,9 +254,9 @@ def test_level1_verify_product_budget(monkeypatch):
 def test_level1_verify_works_at_the_certified_precision(monkeypatch, prec):
     seen = []
 
-    def spy(fs, m):
+    def spy(fs):
         seen.append({f.prec for f in fs})
-        return q_wronskian(fs, m)
+        return q_wronskian(fs)
     monkeypatch.setattr(qweier.cli, "q_wronskian", spy)
     code, _, _ = run("level1", "verify", "--tmax", "5", "--prec", prec)
     assert code == 0
@@ -371,6 +372,29 @@ def test_weierstrass_without_level_notes_assumption():
     code, out, _ = run("weierstrass", FIX34, "--weight", "4")
     assert code == 0
     assert "note: no --level given; assuming a non-hyperelliptic curve" in out
+
+
+def test_weierstrass_without_level_blames_its_assumption_not_the_basis():
+    # X_0(35) is hyperelliptic of genus 3, so its degree-2 monomials span
+    # less than dim S^H_4.  Without --level the CLI assumed a
+    # non-hyperelliptic curve; the error names that and the way out.
+    code, out, err = run("weierstrass", FIX35, "--weight", "4")
+    assert code == 1
+    assert "assuming a non-hyperelliptic curve" in out
+    assert "assumed not hyperelliptic" in err and "--level N" in err
+
+
+def test_weierstrass_without_level_keeps_the_weight_two_rank_deficit(
+        tmp_path):
+    # At m = 2 a rank deficit means dependent forms on any curve, so the
+    # library's message stands.
+    fs = load_fixture(34).series_list()
+    path = tmp_path / "dup34.qexp"
+    path.write_text(serialize(BasisFile(
+        "Gamma0(34)", 2, fs[0].prec,
+        [("f%d" % i, f.coeffs) for i, f in enumerate([fs[0], fs[0], fs[1]])])))
+    assert run("weierstrass", str(path), "--weight", "2")[2] == (
+        "error: the 3 basis forms only span a 2-dimensional space\n")
 
 
 def test_weierstrass_genus_two_without_level_is_hyperelliptic():
@@ -494,6 +518,18 @@ def test_console_script_is_wired_up():
     )
     assert proc.returncode == 0
     assert "dim S_4 = 12, dim S^H_4 = 6" in proc.stdout
+
+
+def test_console_script_entry_point_is_cli_main():
+    # The wiring the installed script uses, read without an install.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    module, _, attr = scripts["qweier"].partition(":")
+    assert (module, attr) == ("qweier.cli", "main")
+    target = getattr(importlib.import_module(module), attr)
+    assert target is qweier.cli.main
 
 
 def test_python_dash_m_runs_the_cli():

@@ -496,6 +496,37 @@ def test_verdict_is_basis_invariant(level, m):
         assert report.flags == baseline.flags
 
 
+@pytest.mark.parametrize("level,m", [(34, 4), (34, 6), (34, 8), (55, 4),
+                                     (55, 6), (38, 6)])
+def test_forms_over_non_unit_denominators_give_the_same_report(level, m):
+    # Every fixture has denominator 1.  Scaled by distinct non-unit
+    # rationals, the forms put each monomial over a product of their
+    # denominators.  The rank, gaps, verdict and echelon rows do not
+    # depend on the scales, and each combination must rebuild its row from
+    # product chains of the scaled forms.
+    basis = load_fixture(level)
+    scales = [F(2, 3), F(-5, 7), F(3, 4), F(7, 5), F(-4, 9)][:basis.genus]
+    assert len(scales) == basis.genus
+    fs = [f.scaled(c) for f, c in zip(basis.series_list(), scales)]
+    scaled = CuspBasis.from_series(basis.level_label, fs)
+    inv = gamma0_invariants(level)
+    report = weierstrass_test(scaled, m, inv.signature,
+                              hyperelliptic_status=inv.hyperelliptic_status)
+    baseline = run_fixture(level, m)
+    assert report.rank == baseline.rank
+    assert report.gap_sequence == baseline.gap_sequence
+    assert report.is_weierstrass == baseline.is_weierstrass
+    assert report.rows == baseline.rows
+    chains = [_product_chain(fs, vec, basis.prec)
+              for vec in report.monomial_exponents]
+    for row, combo in zip(report.rows, report.combinations):
+        built = QSeries.zero(basis.prec)
+        for c, chain in zip(combo, chains):
+            if c:
+                built = built + chain.scaled(c)
+        assert built == row
+
+
 # -- wronskian route ----------------------------------------------------------
 
 
