@@ -24,7 +24,6 @@ from functools import lru_cache
 from .errors import PrecisionError, QweierError, RankDeficit, ValidationError
 from .ingest import load_basis, load_series, load_signature
 from .level1 import (
-    Level1Form,
     delta,
     dim_m,
     eisenstein_e4,
@@ -154,8 +153,8 @@ def _level1_inputs(prec, tmax):
     """E4 and E6 modulo q^prec, and inputs(t, n): the t + 1 inputs
     E4^(3u) * E6^(2(t-u)), u = t..0, modulo q^n for t <= tmax and
     n <= prec, each one product of two power-ladder entries."""
-    e4 = eisenstein_e4(prec).series
-    e6 = eisenstein_e6(prec).series
+    e4 = eisenstein_e4(prec)
+    e6 = eisenstein_e6(prec)
     a_pows = power_ladder(QSeries.one(prec), e4 ** 3, tmax + 1)
     b_pows = power_ladder(QSeries.one(prec), e6 ** 2, tmax + 1)
 
@@ -172,7 +171,7 @@ def _cmd_level1(args, out):
     e4, e6, inputs = _level1_inputs(prec, args.tmax)
     # S^t and R_t = S^(t(t+1)/2) for S = Delta * E4^2 * E6, one product
     # each per step.
-    s = delta(prec).series * e4 * e4 * e6
+    s = delta(prec) * e4 * e4 * e6
     s_t = r_t = QSeries.one(prec)
     for t in range(1, args.tmax + 1):
         s_t = s_t * s
@@ -195,8 +194,8 @@ def _cmd_level1(args, out):
             # multiple of E4^(2 half) * E6^half.
             _, _, full = _level1_inputs(args.prec, t)
             wq = q_wronskian(full(t, args.prec))
-            quotient = wq.exact_div(delta(args.prec).series ** half)
-            express_in_monomials(Level1Form(quotient, rest_weight))
+            quotient = wq.exact_div(delta(args.prec) ** half)
+            express_in_monomials(quotient, rest_weight)
             _print(
                 out,
                 "t = %d: FAILED (quotient by Delta^%d is not a multiple of "

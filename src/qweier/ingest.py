@@ -15,7 +15,8 @@ are comments and blank lines are skipped; everything else must appear in
 exactly this order.
 
 A signature file has lines ``GENUS g``, ``CUSPS t`` and optionally
-``ELLIPTIC e1 e2 ...``, with the same comment and blank-line rules.
+``ELLIPTIC e1 e2 ...``, with the same comment and blank-line rules; it
+must be the signature of a Fuchsian group of the first kind.
 
 Every file the package reads is opened here; bytes that are not UTF-8
 raise ParseError.
@@ -25,7 +26,7 @@ import re
 
 from fractions import Fraction
 
-from .errors import ParseError, ValidationError
+from .errors import DomainError, ParseError, ValidationError
 from .qseries import QSeries
 from .surface import SurfaceSignature
 from .weierstrass import CuspBasis, ModularFormRecord
@@ -176,11 +177,12 @@ def serialize(basis_file):
 def parse_basis(text):
     """Parse QEXP text and validate it as a weight-2 cusp-form basis."""
     bf = parse_basis_file(text)
-    records = [
-        ModularFormRecord(
-            label, QSeries(coeffs, bf.prec), bf.weight, bf.level_label)
-        for label, coeffs in bf.forms
-    ]
+    if bf.forms and bf.weight != 2:
+        raise ValidationError(
+            "form %r has weight %d; every basis form must have weight 2"
+            % (bf.forms[0][0], bf.weight))
+    records = [ModularFormRecord(label, QSeries(coeffs, bf.prec))
+               for label, coeffs in bf.forms]
     return CuspBasis(bf.level_label, records)
 
 
@@ -211,18 +213,25 @@ def load_signature(path):
     """Read a signature file into a SurfaceSignature."""
     fields = {}
     for number, line in _meaningful_lines(_read_text(path)):
-        key, _, rest = line.partition(" ")
+        key, *values = line.split()
         if key not in ("GENUS", "CUSPS", "ELLIPTIC") or key in fields:
             raise ParseError(
                 "expected one GENUS, CUSPS, or ELLIPTIC line, got %r" % line,
                 line=number)
         try:
-            fields[key] = [int(tok) for tok in rest.split()]
+            fields[key] = [int(tok) for tok in values]
         except ValueError:
             raise ParseError(
                 "non-integer value in %r" % line, line=number) from None
     for key in ("GENUS", "CUSPS"):
         if key not in fields or len(fields[key]) != 1:
             raise ParseError("signature file needs a single-value %s line" % key)
-    return SurfaceSignature(
+    sig = SurfaceSignature(
         fields["GENUS"][0], fields["CUSPS"][0], tuple(fields.get("ELLIPTIC", ())))
+    area = 2 * sig.genus - 2 + sig.cusp_count + sum(
+        1 - Fraction(1, e) for e in sig.elliptic_orders)
+    if area <= 0:
+        raise DomainError(
+            "no Fuchsian group of the first kind has signature %r: "
+            "2g - 2 + t + sum(1 - 1/e) = %s <= 0" % (sig, area))
+    return sig

@@ -1,6 +1,9 @@
 """Modular forms for the full modular group: Eisenstein series E4 and E6,
 the discriminant form, monomial bases E4^a * E6^b of each weight, the
 dimension formula, and expression of a form in the monomial basis.
+
+Forms are plain QSeries; a weight, where one is needed, is passed beside
+the series.
 """
 
 from collections import namedtuple
@@ -13,23 +16,6 @@ from .qseries import QSeries, coefficient_matrix
 
 #: Exponent pair (alpha, beta) of a monomial E4^alpha * E6^beta.
 MonomialExponent = namedtuple("MonomialExponent", ["alpha", "beta"])
-
-
-class Level1Form:
-    """A q-expansion together with its (even) weight."""
-
-    __slots__ = ("series", "weight")
-
-    def __init__(self, series, weight):
-        if weight % 2 != 0 or weight < 0:
-            raise DomainError("weight must be an even nonnegative integer")
-        if weight == 0 and any(series.nums[1:]):
-            raise DomainError("weight 0 is reserved for constants")
-        self.series = series
-        self.weight = weight
-
-    def __repr__(self):
-        return "Level1Form(weight=%d, %s)" % (self.weight, self.series.qstring(5))
 
 
 def sigma(n, k):
@@ -52,23 +38,22 @@ def sigma(n, k):
 def eisenstein_e4(prec):
     """E4 = 1 + 240 * sum sigma_3(n) q^n, weight 4."""
     coeffs = [1] + [240 * sigma(n, 3) for n in range(1, prec)]
-    return Level1Form(QSeries(coeffs, prec), 4)
+    return QSeries(coeffs, prec)
 
 
 @lru_cache(maxsize=None)
 def eisenstein_e6(prec):
     """E6 = 1 - 504 * sum sigma_5(n) q^n, weight 6."""
     coeffs = [1] + [-504 * sigma(n, 5) for n in range(1, prec)]
-    return Level1Form(QSeries(coeffs, prec), 6)
+    return QSeries(coeffs, prec)
 
 
 @lru_cache(maxsize=None)
 def delta(prec):
     """The weight-12 cusp form (E4^3 - E6^2)/1728 = q - 24q^2 + 252q^3 - ..."""
-    e4 = eisenstein_e4(prec).series
-    e6 = eisenstein_e6(prec).series
-    series = (e4 ** 3 - e6 ** 2).scaled(Fraction(1, 1728))
-    return Level1Form(series, 12)
+    e4 = eisenstein_e4(prec)
+    e6 = eisenstein_e6(prec)
+    return (e4 ** 3 - e6 ** 2).scaled(Fraction(1, 1728))
 
 
 def delta_product_oracle(prec):
@@ -123,8 +108,8 @@ def m_basis(m):
 
 def monomial_series(exponent, prec):
     """The expansion of E4^alpha * E6^beta to the given precision."""
-    e4 = eisenstein_e4(prec).series
-    e6 = eisenstein_e6(prec).series
+    e4 = eisenstein_e4(prec)
+    e6 = eisenstein_e6(prec)
     return e4 ** exponent.alpha * e6 ** exponent.beta
 
 
@@ -138,8 +123,8 @@ def monomial_ladder(m, prec):
     product per monomial, instead of a binary powering per monomial.
     """
     basis = m_basis(m)
-    e4 = eisenstein_e4(prec).series
-    e6 = eisenstein_e6(prec).series
+    e4 = eisenstein_e4(prec)
+    e6 = eisenstein_e6(prec)
     left = power_ladder(e4 ** basis[-1].alpha, e4 ** 3, len(basis))
     right = power_ladder(e6 ** basis[0].beta, e6 ** 2, len(basis))
     return [x * y for x, y in zip(reversed(left), right)]
@@ -153,9 +138,9 @@ def power_ladder(first, step, n):
     return out
 
 
-def express_in_monomials(f):
-    """Write a weight-m form as a rational combination of the monomials
-    E4^a E6^b, 4a + 6b = m.
+def express_in_monomials(f, weight):
+    """Write the series f, as a form of weight m = weight, as a rational
+    combination of the monomials E4^a E6^b, 4a + 6b = m.
 
     Every stored coefficient takes part.  The matrix with the monomials
     and then f as rows has rank d + 1 when f is outside the span at this
@@ -164,28 +149,28 @@ def express_in_monomials(f):
     list of (MonomialExponent, coefficient) pairs with nonzero
     coefficient, in m_basis order.
     """
-    basis = m_basis(f.weight)
+    basis = m_basis(weight)
     d = len(basis)
-    prec = f.series.prec
+    prec = f.prec
     if prec < d + 1:
         raise PrecisionError(
             "need at least %d coefficients to certify membership, have %d"
             % (d + 1, prec)
         )
-    rows = monomial_ladder(f.weight, prec) + [f.series]
+    rows = monomial_ladder(weight, prec) + [f]
     matrix = coefficient_matrix(rows, prec)
     pivots = pivot_columns(matrix)
     if len(pivots) > d:
         raise NotInSpace(
             "not a weight-%d form of the full group at precision %d"
-            % (f.weight, prec)
+            % (weight, prec)
         )
     independent, (coeffs,) = solve_on_rows(
-        matrix, pivots, coefficient_matrix([f.series], prec))
+        matrix, pivots, coefficient_matrix([f], prec))
     if independent != list(range(d)):
         raise DependentInput(
             "the weight-%d monomials are linearly dependent modulo q^%d: "
             "either truly dependent or the precision is too low"
-            % (f.weight, prec)
+            % (weight, prec)
         )
     return [(basis[j], coeffs[j]) for j in range(d) if coeffs[j] != 0]

@@ -62,9 +62,11 @@ class QSeries:
 
     @staticmethod
     def monomial(c, n, prec):
-        """c * q^n as a series of the given precision."""
+        """c * q^n (n >= 0) as a series of the given precision."""
+        if n < 0:
+            raise DomainError("monomial exponent must be >= 0, got %d" % n)
         coeffs = [0] * prec
-        if 0 <= n < prec:
+        if n < prec:
             coeffs[n] = c
         return QSeries(coeffs, prec)
 

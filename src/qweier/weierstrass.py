@@ -38,19 +38,17 @@ SPAN_NOT_GUARANTEED = "SPAN_NOT_GUARANTEED"
 
 
 class ModularFormRecord:
-    """A labeled q-expansion with its weight and level."""
+    """A labeled q-expansion."""
 
-    __slots__ = ("label", "series", "weight", "level_label")
+    __slots__ = ("label", "series")
 
-    def __init__(self, label, series, weight, level_label=""):
+    def __init__(self, label, series):
         self.label = label
         self.series = series
-        self.weight = weight
-        self.level_label = level_label
 
     def __repr__(self):
-        return "ModularFormRecord(%r, weight=%d, %s)" % (
-            self.label, self.weight, self.series.qstring(3))
+        return "ModularFormRecord(%r, %s)" % (
+            self.label, self.series.qstring(3))
 
 
 class CuspBasis:
@@ -64,11 +62,6 @@ class CuspBasis:
         forms = list(forms)
         if not forms:
             raise ValidationError("a cusp basis needs at least one form")
-        for f in forms:
-            if f.weight != 2:
-                raise ValidationError(
-                    "form %r has weight %d; every basis form must have weight 2"
-                    % (f.label, f.weight))
         precs = {f.series.prec for f in forms}
         if len(precs) != 1:
             raise ValidationError(
@@ -85,10 +78,9 @@ class CuspBasis:
 
     @classmethod
     def from_series(cls, level_label, series_list):
-        """Wrap bare series as weight-2 records labeled f0, f1, ... ."""
+        """Wrap bare series as records labeled f0, f1, ... ."""
         records = [
-            ModularFormRecord("f%d" % i, s, 2, level_label)
-            for i, s in enumerate(series_list)
+            ModularFormRecord("f%d" % i, s) for i, s in enumerate(series_list)
         ]
         return cls(level_label, records)
 

@@ -16,7 +16,6 @@ from conftest import fixture_path, load_fixture
 from qweier.cli import cli_dispatch, format_gaps
 from qweier.ingest import BasisFile, serialize
 from qweier.level1 import (
-    Level1Form,
     MonomialExponent,
     delta,
     eisenstein_e4,
@@ -103,6 +102,18 @@ def test_dims_from_signature_file(tmp_path):
     )
 
 
+@pytest.mark.parametrize("cusps,area", [(1, -1), (2, 0)])
+def test_dims_rejects_a_signature_of_no_fuchsian_group(tmp_path, cusps, area):
+    sigfile = tmp_path / "flat.sig"
+    sigfile.write_text("GENUS 0\nCUSPS %d\n" % cusps)
+    code, out, err = run("dims", str(sigfile), "12")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: no Fuchsian group of the first kind has signature "
+        "SurfaceSignature(genus=0, cusps=%d, elliptic=[]): "
+        "2g - 2 + t + sum(1 - 1/e) = %d <= 0\n" % (cusps, area))
+
+
 def test_dims_rejects_bad_signature_file(tmp_path):
     sigfile = tmp_path / "bad.sig"
     sigfile.write_text("GENUS 2\nCUSPS x\n")
@@ -168,15 +179,14 @@ def test_level1_verify_agrees_with_the_monomial_solve():
     code, out, _ = run("level1", "verify", "--tmax", "6", "--prec", str(prec))
     assert code == 0
     lines = out.splitlines()
-    e4 = eisenstein_e4(prec).series
-    e6 = eisenstein_e6(prec).series
+    e4 = eisenstein_e4(prec)
+    e6 = eisenstein_e6(prec)
     for t in range(1, 7):
         half = t * (t + 1) // 2
         fs = [e4 ** (3 * u) * e6 ** (2 * (t - u)) for u in range(t, -1, -1)]
-        quotient = q_wronskian(fs).exact_div(
-            delta(prec).series ** half)
+        quotient = q_wronskian(fs).exact_div(delta(prec) ** half)
         weight = wronskian_weight(t + 1, 12 * t) - 12 * half
-        ((exponent, lam),) = express_in_monomials(Level1Form(quotient, weight))
+        ((exponent, lam),) = express_in_monomials(quotient, weight)
         assert exponent == MonomialExponent(t * (t + 1), half)
         assert lines[t - 1] == "lambda(%d) = %s" % (t, lam)
         closed = (-1728) ** half * math.prod(
@@ -197,9 +207,9 @@ def _replaced_at_t2(change):
 def _plus_other_weight_42_form(w):
     # Adds Delta^3 times E4^9 * E6, a weight-42 monomial other than
     # E4^6 * E6^3.
-    e4 = eisenstein_e4(w.prec).series
-    e6 = eisenstein_e6(w.prec).series
-    return w + delta(w.prec).series ** 3 * e4 ** 9 * e6
+    e4 = eisenstein_e4(w.prec)
+    e6 = eisenstein_e6(w.prec)
+    return w + delta(w.prec) ** 3 * e4 ** 9 * e6
 
 
 _L1_FAILED_T2 = ("lambda(1) = -1728\n"
@@ -429,6 +439,21 @@ def test_weierstrass_level_check_leaves_free_text_labels_alone(tmp_path):
     argv = ("--weight", "4", "--level", "34")
     assert run("weierstrass", str(path), *argv) == run(
         "weierstrass", FIX34, *argv)
+
+
+@pytest.mark.parametrize("text, message", [
+    (fixture_path(34).read_text(encoding="utf-8").replace(
+        "WEIGHT 2", "WEIGHT 4"),
+     "form 'f0' has weight 4; every basis form must have weight 2"),
+    ("QEXP 1\nLEVEL x\nWEIGHT 4\nPREC 5\nFORMS 0\n",
+     "a cusp basis needs at least one form"),
+], ids=["x0_34_weight_4", "no_forms_weight_4"])
+def test_weierstrass_basis_file_errors_are_pinned(tmp_path, text, message):
+    path = tmp_path / "basis.qexp"
+    path.write_text(text, encoding="utf-8")
+    for level in ((), ("--level", "34")):
+        assert run("weierstrass", str(path), "--weight", "4", *level) == (
+            1, "", "error: %s\n" % message)
 
 
 def test_weierstrass_missing_file():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURE_LEVELS, fixture_path, load_fixture
-from qweier.errors import ParseError, QweierError, ValidationError
+from qweier.errors import DomainError, ParseError, QweierError, ValidationError
 from qweier.ingest import (
     BasisFile,
     load_basis,
@@ -284,6 +284,33 @@ def test_precision_zero_is_refused_on_both_sides():
     text = "QEXP 1\nLEVEL x\nWEIGHT 2\nPREC 0\nFORMS 0\n"
     with pytest.raises(ParseError):
         parse_basis_file(text)
+
+
+# -- signature files ----------------------------------------------------------
+
+
+def test_signature_keywords_may_be_followed_by_tabs(tmp_path):
+    path = tmp_path / "tabs.sig"
+    path.write_text("GENUS\t3\nCUSPS \t4\nELLIPTIC\t2\t2\n")
+    assert load_signature(path) == gamma0_invariants(34).signature
+
+
+@pytest.mark.parametrize("text", [
+    "GENUS 1\nCUSPS 0\n",
+    "GENUS 0\nCUSPS 0\nELLIPTIC 2 3 6\n",
+], ids=["torus", "triangle_2_3_6"])
+def test_signature_file_must_be_hyperbolic(tmp_path, text):
+    path = tmp_path / "flat.sig"
+    path.write_text(text)
+    with pytest.raises(DomainError, match="no Fuchsian group"):
+        load_signature(path)
+
+
+def test_signature_file_just_past_the_bound_is_accepted(tmp_path):
+    # 2g - 2 + t + sum(1 - 1/e) = -2 + 1/2 + 2/3 + 6/7 = 1/42.
+    path = tmp_path / "hurwitz.sig"
+    path.write_text("GENUS 0\nCUSPS 0\nELLIPTIC 2 3 7\n")
+    assert load_signature(path).elliptic_orders == (2, 3, 7)
 
 
 # -- fuzzing ------------------------------------------------------------------

@@ -5,7 +5,6 @@ from hypothesis import assume, given, strategies as st
 
 from qweier.errors import DependentInput, DomainError, NotInSpace, PrecisionError
 from qweier.level1 import (
-    Level1Form,
     MonomialExponent,
     delta,
     delta_product_oracle,
@@ -44,36 +43,30 @@ def test_sigma_matches_brute_force(n, k):
 
 
 def test_e4_leading_coefficients():
-    s = eisenstein_e4(3).series
+    s = eisenstein_e4(3)
     assert (s.coeffs[0], s.coeffs[1], s.coeffs[2]) == (1, 240, 2160)
 
 
 def test_e6_leading_coefficients():
-    s = eisenstein_e6(2).series
+    s = eisenstein_e6(2)
     assert (s.coeffs[0], s.coeffs[1]) == (1, -504)
 
 
-def test_weights():
-    assert eisenstein_e4(2).weight == 4
-    assert eisenstein_e6(2).weight == 6
-    assert delta(2).weight == 12
-
-
 def test_delta_first_coefficients():
-    s = delta(4).series
+    s = delta(4)
     assert s.coeffs[0] == 0
     assert (s.coeffs[1], s.coeffs[2], s.coeffs[3]) == (1, -24, 252)
 
 
 def test_1728_delta_identity():
     prec = 60
-    e4 = eisenstein_e4(prec).series
-    e6 = eisenstein_e6(prec).series
-    assert delta(prec).series.scaled(1728) == e4 ** 3 - e6 ** 2
+    e4 = eisenstein_e4(prec)
+    e6 = eisenstein_e6(prec)
+    assert delta(prec).scaled(1728) == e4 ** 3 - e6 ** 2
 
 
 def test_delta_matches_product_oracle():
-    assert delta(50).series == delta_product_oracle(50)
+    assert delta(50) == delta_product_oracle(50)
 
 
 def test_product_oracle_first_terms():
@@ -82,8 +75,8 @@ def test_product_oracle_first_terms():
 
 
 def test_e4_cubed_minus_e6_squared_valuation():
-    e4 = eisenstein_e4(6).series
-    e6 = eisenstein_e6(6).series
+    e4 = eisenstein_e4(6)
+    e6 = eisenstein_e6(6)
     diff = e4 ** 3 - e6 ** 2
     assert diff.valuation() == 1
     assert diff.coeffs[1] == 1728
@@ -132,7 +125,7 @@ def test_m_basis_alpha_decreasing_and_weight_correct():
 
 
 def test_express_delta():
-    got = express_in_monomials(delta(10))
+    got = express_in_monomials(delta(10), 12)
     assert got == [
         (MonomialExponent(3, 0), F(1, 1728)),
         (MonomialExponent(0, 2), F(-1, 1728)),
@@ -140,30 +133,30 @@ def test_express_delta():
 
 
 def test_express_e4_cubed():
-    f = Level1Form(eisenstein_e4(9).series ** 3, 12)
-    assert express_in_monomials(f) == [(MonomialExponent(3, 0), F(1))]
+    f = eisenstein_e4(9) ** 3
+    assert express_in_monomials(f, 12) == [(MonomialExponent(3, 0), F(1))]
 
 
 def test_express_rejects_non_member():
-    bad = delta(10).series + QSeries.monomial(1, 7, 10)
+    bad = delta(10) + QSeries.monomial(1, 7, 10)
     with pytest.raises(NotInSpace):
-        express_in_monomials(Level1Form(bad, 12))
+        express_in_monomials(bad, 12)
 
 
 def test_express_needs_guard_coefficient():
     with pytest.raises(PrecisionError):
-        express_in_monomials(Level1Form(delta(2).series, 12))
+        express_in_monomials(delta(2), 12)
 
 
 @pytest.mark.parametrize("inside", [True, False], ids=["in_span", "outside"])
 def test_express_reports_dependent_monomials(monkeypatch, inside):
     # Both weight-12 monomials replaced by E4^3: a dependent "basis".
-    e4_cubed = eisenstein_e4(10).series ** 3
+    e4_cubed = eisenstein_e4(10) ** 3
     monkeypatch.setattr(
         "qweier.level1.monomial_ladder", lambda m, prec: [e4_cubed, e4_cubed])
-    f = e4_cubed if inside else delta(10).series
+    f = e4_cubed if inside else delta(10)
     with pytest.raises(DependentInput):
-        express_in_monomials(Level1Form(f, 12))
+        express_in_monomials(f, 12)
 
 
 def test_monomial_ladder_matches_single_monomials():
@@ -201,31 +194,31 @@ def monomial_combinations(draw):
 def test_express_recovers_the_nonzero_coefficients(combination, n):
     weight, prec, coeffs, f = combination
     want = [(e, c) for e, c in zip(m_basis(weight), coeffs) if c != 0]
-    assert express_in_monomials(Level1Form(f, weight)) == want
+    assert express_in_monomials(f, weight) == want
     outside = f + QSeries.monomial(1, n % prec, prec)
     with pytest.raises(NotInSpace):
-        express_in_monomials(Level1Form(outside, weight))
+        express_in_monomials(outside, weight)
 
 
 def test_express_product_weights_add():
     prec = 12
-    f = Level1Form(delta(prec).series * eisenstein_e4(prec).series, 16)
-    got = express_in_monomials(f)
-    assert sum(c * monomial_series(e, prec).coeffs[1] for e, c in got) == f.series.coeffs[1]
+    f = delta(prec) * eisenstein_e4(prec)
+    got = express_in_monomials(f, 16)
+    assert sum(c * monomial_series(e, prec).coeffs[1] for e, c in got) == f.coeffs[1]
     total = QSeries.zero(prec)
     for e, c in got:
         total = total + monomial_series(e, prec).scaled(c)
-    assert total == f.series
+    assert total == f
 
 
-# -- Level1Form invariants ------------------------------------------------------
+# -- weights express_in_monomials refuses -------------------------------------
 
 
 def test_weight_zero_must_be_constant():
-    with pytest.raises(DomainError):
-        Level1Form(QSeries([1, 1], 2), 0)
+    with pytest.raises(NotInSpace):
+        express_in_monomials(QSeries([1, 1], 2), 0)
 
 
 def test_odd_weight_rejected():
     with pytest.raises(DomainError):
-        Level1Form(QSeries.one(2), 3)
+        express_in_monomials(QSeries.one(2), 3)

@@ -202,6 +202,12 @@ def test_shifted_gains_precision():
     assert s == qs(0, 0, 0, 1, 2, prec=5)
 
 
+def test_monomial_places_one_coefficient_below_prec():
+    assert QSeries.monomial(5, 2, 4) == qs(0, 0, 5, 0, prec=4)
+    # q^n with n >= prec is zero modulo q^prec.
+    assert QSeries.monomial(5, 4, 4) == QSeries.zero(4)
+
+
 def test_truncated_cannot_extend():
     with pytest.raises(PrecisionError):
         qs(1, 2, prec=2).truncated(5)
@@ -211,7 +217,8 @@ def test_truncated_cannot_extend():
     lambda: QSeries([F(1)], -1),
     lambda: qs(1, 2) ** -1,
     lambda: qs(1, 2).shifted(-1),
-], ids=["prec", "pow", "shifted"])
+    lambda: QSeries.monomial(5, -1, 4),
+], ids=["prec", "pow", "shifted", "monomial"])
 def test_argument_errors_are_domain_errors(op):
     with pytest.raises(DomainError):
         op()

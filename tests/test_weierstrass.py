@@ -78,12 +78,6 @@ def cusp_bases(draw, g_min=2, g_max=3, m=4):
 # -- basis validation ---------------------------------------------------------
 
 
-def test_basis_requires_weight_two():
-    rec = ModularFormRecord("f0", qs(0, 1, prec=8), 4)
-    with pytest.raises(ValidationError):
-        CuspBasis("x", [rec])
-
-
 def test_basis_requires_a_form():
     with pytest.raises(ValidationError):
         CuspBasis("x", [])
@@ -91,15 +85,15 @@ def test_basis_requires_a_form():
 
 def test_basis_requires_common_precision():
     recs = [
-        ModularFormRecord("f0", qs(0, 1, prec=8), 2),
-        ModularFormRecord("f1", qs(0, 0, 1, prec=9), 2),
+        ModularFormRecord("f0", qs(0, 1, prec=8)),
+        ModularFormRecord("f1", qs(0, 0, 1, prec=9)),
     ]
     with pytest.raises(ValidationError):
         CuspBasis("x", recs)
 
 
 def test_basis_requires_vanishing_constant_term():
-    rec = ModularFormRecord("f0", qs(1, 1, prec=8), 2)
+    rec = ModularFormRecord("f0", qs(1, 1, prec=8))
     with pytest.raises(ValidationError):
         CuspBasis("x", [rec])
 

@@ -67,19 +67,19 @@ def test_precision_below_matrix_size_rejected():
 
 def test_eisenstein_identity():
     prec = 40
-    e4 = eisenstein_e4(prec).series
-    e6 = eisenstein_e6(prec).series
+    e4 = eisenstein_e4(prec)
+    e6 = eisenstein_e6(prec)
     w = q_wronskian([e4 ** 3, e6 ** 2])
-    assert w == (delta(prec).series * e4 ** 2 * e6).scaled(-1728)
+    assert w == (delta(prec) * e4 ** 2 * e6).scaled(-1728)
     assert wronskian_weight(2, 12) == 26
     assert scalar_exponent(2) == 1
 
 
 def test_monomial_family_t2():
     prec = 60
-    e4 = eisenstein_e4(prec).series
-    e6 = eisenstein_e6(prec).series
-    d = delta(prec).series
+    e4 = eisenstein_e4(prec)
+    e6 = eisenstein_e6(prec)
+    d = delta(prec)
     monos = [(e4 ** 3) ** u * (e6 ** 2) ** (2 - u) for u in (2, 1, 0)]
     w = q_wronskian(monos)
     lam = -2 * 1728 ** 3
@@ -172,8 +172,8 @@ Q_WRONSKIAN_REFERENCE = (
 
 def test_q_wronskian_matches_pinned_digest():
     prec = 40
-    a = eisenstein_e4(prec).series ** 3
-    b = eisenstein_e6(prec).series ** 2
+    a = eisenstein_e4(prec) ** 3
+    b = eisenstein_e6(prec) ** 2
     families = [[a ** u * b ** (t - u) for u in range(t, -1, -1)]
                 for t in range(1, 6)]
     digest = hashlib.sha256()
@@ -280,16 +280,16 @@ def test_identity_check_one_q():
 
 def test_identity_check_eisenstein():
     prec = 30
-    e4 = eisenstein_e4(prec).series
-    e6 = eisenstein_e6(prec).series
+    e4 = eisenstein_e4(prec)
+    e6 = eisenstein_e6(prec)
     lhs, rhs, holds = cusp_order_identity_check([e4 ** 3, e6 ** 2])
     assert (lhs, rhs, holds) == (1, 1, True)
 
 
 def test_identity_check_t2_monomials():
     prec = 30
-    e4 = eisenstein_e4(prec).series
-    e6 = eisenstein_e6(prec).series
+    e4 = eisenstein_e4(prec)
+    e6 = eisenstein_e6(prec)
     monos = [(e4 ** 3) ** u * (e6 ** 2) ** (2 - u) for u in (2, 1, 0)]
     lhs, rhs, holds = cusp_order_identity_check(monos)
     assert (lhs, rhs, holds) == (3, 3, True)
@@ -317,8 +317,8 @@ def test_identity_holds_on_random_independent_lists(fs):
 
 def test_wronskian_valuation_matches_series_route():
     prec = 30
-    e4 = eisenstein_e4(prec).series
-    e6 = eisenstein_e6(prec).series
+    e4 = eisenstein_e4(prec)
+    e6 = eisenstein_e6(prec)
     fs = [e4 ** 3, e6 ** 2]
     assert wronskian_valuation(fs) == q_wronskian(fs).valuation()
 
