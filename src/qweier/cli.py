@@ -44,7 +44,7 @@ from .surface import (
     dim_s_h,
     gamma0_invariants,
 )
-from .weierstrass import SPAN_NOT_GUARANTEED, weierstrass_test
+from .weierstrass import SPAN_NOT_GUARANTEED, check_inputs, weierstrass_test
 from .wronskian import (
     q_wronskian,
     span_valuations,
@@ -219,11 +219,13 @@ def _cmd_wronskian(args, out):
     basis_file, series = load_series(args.basisfile)
     weight = args.weight if args.weight is not None else basis_file.weight
     k = len(series)
+    # Refuses an empty form list before anything is printed.
+    w_weight = wronskian_weight(k, weight)
     _print(
         out,
         "forms: %d, weight %d, precision %d" % (k, weight, basis_file.prec),
     )
-    _print(out, "q-Wronskian weight: %d" % wronskian_weight(k, weight))
+    _print(out, "q-Wronskian weight: %d" % w_weight)
     spans = span_valuations(series)
     total = sum(spans)
     _print(
@@ -276,6 +278,9 @@ def _cmd_weierstrass(args, out):
                 "note: no --level given; assuming a non-hyperelliptic curve "
                 "and a one-cusp signature (only the genus enters the test)"
             )
+    # Input errors leave stdout empty; errors found by the elimination
+    # come after the header and notes, which explain them.
+    check_inputs(basis, args.weight, sig)
     _print(out, header)
     for note in notes:
         _print(out, note)

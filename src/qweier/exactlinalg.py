@@ -7,7 +7,8 @@ cross-multiplication (b*x - a*y, with a and b the two entries to cancel
 over their gcd) and the result is divided by its content: the
 fraction-free elimination of Bareiss (1968).  Two schedules use it: the
 sorted one of echelon_reduce, which fixes the echelon rows, and one
-sweep over the rows, which finds pivot columns (pivot_columns) and, in
+sweep over the rows, which finds pivot columns (pivot_columns), the rows
+that depend on the rows before them (dependent_rows) and, in
 the one solve solve_on_rows, writes row-space vectors on independent
 input rows.  Determinants of series matrices live in wronskian.
 """
@@ -251,6 +252,13 @@ def pivot_columns(m):
     for _ in _sweep(m.nums, m.cols, pivrows):
         pass
     return sorted(pivrows)
+
+
+def dependent_rows(m):
+    """Indices, increasing, of the rows of m that lie in the span of the
+    rows before them: the rows one sweep in order reduces to zero."""
+    return [i for i, (p, _) in enumerate(_sweep(m.nums, m.cols, {}))
+            if p == m.cols]
 
 
 def solve_on_rows(m, pivots, targets):

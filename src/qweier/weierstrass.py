@@ -25,7 +25,8 @@ from math import prod
 
 from .errors import (DomainError, HyperellipticUnsupported, PrecisionError,
                      RankDeficit, ValidationError)
-from .exactlinalg import RatMatrix, echelon_reduce, pivot_columns
+from .exactlinalg import (RatMatrix, dependent_rows, echelon_reduce,
+                          pivot_columns)
 from .qseries import QSeries
 from .surface import (HYPERELLIPTIC, NOT_HYPERELLIPTIC, _require_even_weight,
                       dim_s_h)
@@ -180,7 +181,7 @@ def monomials(basis, m):
             for vec, row, den in zip(vecs, matrix.nums, matrix.dens)]
 
 
-def _monomial_matrix(basis, m, prec):
+def _monomial_matrix(basis, m, prec, prune=False):
     """(vecs, matrix): the degree-(m/2) monomials in the basis forms
     modulo q^prec, vecs their exponent vectors in lexicographically
     decreasing order and matrix the RatMatrix whose row i is monomial i,
@@ -196,6 +197,17 @@ def _monomial_matrix(basis, m, prec):
     norm**(m/2) in absolute value, where norm is the largest l1 norm of a
     cut row; w = bit_length(norm**(m/2)) + 1 bits, rounded up to 1, 2, 4
     or 8 bytes, keeps every digit exact.  Each leaf is unpacked once.
+
+    With prune and m >= 6, the rows keep the span modulo q^prec but not
+    every monomial.  The quadrics, built on the same packed rows (norm**2
+    bounds them too), are swept in the same order modulo the same q^prec,
+    and the walk skips every subtree whose exponent vector contains a
+    dead quadric, one in the span of the quadrics before it.  A relation
+    modulo q^prec times a form of valuation >= 0 is still one, and adding
+    an exponent vector keeps the lexicographic order, so every multiple
+    of a dead quadric lies in the span of the monomials before it; by
+    induction the rows kept span them all.  A quadric dead only modulo a
+    lower power of q proves nothing modulo q^prec.
     """
     d = m // 2
     rows = [f.nums[:prec] for f in basis.series_list()]
@@ -204,8 +216,21 @@ def _monomial_matrix(basis, m, prec):
     last = [1]
     for _ in range(d):
         last.append(ring.mul(last[-1], xs[-1]))
+    kills = None
+    if prune and d > 2:
+        quadrics = []
+        _extend_monomials(ring, xs, last, 0, 2, 1, [0] * len(xs), quadrics)
+        # A row's denominator does not change whether it is dependent.
+        dead = dependent_rows(RatMatrix([ring.unpack(x) for _, x in quadrics],
+                                        [1] * len(quadrics), prec))
+        if dead:
+            kills = [0] * len(xs)
+            for k in dead:
+                a, b = [i for i, e in enumerate(quadrics[k][0])
+                        for _ in range(e)]
+                kills[a] |= 1 << b
     leaves = []
-    _extend_monomials(ring, xs, last, 0, d, 1, [0] * len(xs), leaves)
+    _extend_monomials(ring, xs, last, 0, d, 1, [0] * len(xs), leaves, kills)
     dens = [f.series.den for f in basis.forms]
     vecs = [vec for vec, _ in leaves]
     return vecs, RatMatrix([ring.unpack(x) for _, x in leaves],
@@ -262,24 +287,40 @@ class _PackedRows:
         return row if sys.byteorder == "little" else row[::-1]
 
 
-def _extend_monomials(ring, xs, last, i, rem, prefix, vec, out):
+def _extend_monomials(ring, xs, last, i, rem, prefix, vec, out, kills=None,
+                      banned=0):
     """Append to out every (exponent vector, packed row) pair prefix *
     xs[i]^a_i * ... * xs[-1]^a_last with a_i + ... + a_last = rem, in
     lexicographically decreasing order.  xs are the packed rows, last[j]
-    is xs[-1]^j and vec[:i] holds the exponents already fixed.  A
-    module-level function rather than a nested one, so no closure refers
-    to itself and out is freed as soon as the caller drops it."""
+    is xs[-1]^j and vec[:i] holds the exponents already fixed.
+
+    With kills, no vector that contains a dead quadric is built: bit j of
+    kills[i], j >= i, marks the quadric x_i x_j dead, and bit j of banned
+    marks a form that a dead quadric with a factor of the prefix keeps
+    out.  Without kills the filter costs one test per node.
+
+    A module-level function rather than a nested one, so no closure
+    refers to itself and out is freed as soon as the caller drops it."""
+    top = rem
+    if kills:
+        if banned >> i & 1:
+            top = 0
+        elif kills[i] >> i & 1:
+            top = min(rem, 1)
     if i == len(xs) - 1:
-        vec[i] = rem
-        out.append((tuple(vec), ring.mul(prefix, last[rem])))
-        vec[i] = 0
+        if top == rem:
+            vec[i] = rem
+            out.append((tuple(vec), ring.mul(prefix, last[rem])))
+            vec[i] = 0
         return
     chain = [prefix]
-    for _ in range(rem):
+    for _ in range(top):
         chain.append(ring.mul(chain[-1], xs[i]))
-    for a in range(rem, -1, -1):
+    inner = banned | kills[i] if kills else 0
+    for a in range(top, -1, -1):
         vec[i] = a
-        _extend_monomials(ring, xs, last, i + 1, rem - a, chain[a], vec, out)
+        _extend_monomials(ring, xs, last, i + 1, rem - a, chain[a], vec, out,
+                          kills, inner if a else banned)
     vec[i] = 0
 
 
@@ -290,12 +331,37 @@ def subspace_dimension(basis, m):
     When the basis is a basis of the weight-2 cusp forms of a genus-g
     curve, no nonzero combination of the monomials vanishes to q-order
     need or more (see required_precision), so those columns carry the
-    whole rank.  The matrix is _monomial_matrix(basis, m, need).  On
-    series that are not such a basis the rank on need columns can fall
-    below the rank on all basis.prec columns.
+    whole rank.  On series that are not such a basis the rank on need
+    columns can fall below the rank on all basis.prec columns.
+
+    The matrix is _monomial_matrix(basis, m, need, prune=True): for m >=
+    6 no monomial that a dead quadric divides is built or swept, a dead
+    quadric being one in the span of the quadrics before it modulo the
+    same q^need.  A relation modulo q^need times a form of valuation >= 0
+    is still one, and multiplying by a form keeps the lexicographic order
+    of the monomials, so every such monomial lies in the span of the
+    monomials before it and the rank is that of the whole matrix, for
+    any series.  Where the quadric relations generate the ideal of the
+    canonical curve (Petri's theorem), few rows are left beyond the rank.
     """
     need = _checked_precision(basis, m)
-    return len(pivot_columns(_monomial_matrix(basis, m, need)[1]))
+    return len(pivot_columns(
+        _monomial_matrix(basis, m, need, prune=True)[1]))
+
+
+def check_inputs(basis, m, sig):
+    """The checks weierstrass_test makes before any elimination, in its
+    order: sig has the basis's genus, which is at least 2, and m is an
+    even weight whose required_precision the basis holds.  A caller that
+    prints before the test runs calls this first."""
+    if sig.genus != basis.genus:
+        raise DomainError(
+            "signature genus %d does not match basis genus %d"
+            % (sig.genus, basis.genus))
+    if basis.genus < 2:
+        raise DomainError(
+            "no (m/2)-Weierstrass points exist for genus 0 or 1")
+    _checked_precision(basis, m)
 
 
 def weierstrass_test(basis, m, sig, hyperelliptic_status=NOT_HYPERELLIPTIC):
@@ -311,14 +377,7 @@ def weierstrass_test(basis, m, sig, hyperelliptic_status=NOT_HYPERELLIPTIC):
     basis.prec): reading all stored columns lets rank > t expose a basis
     that is not one of the weight-2 cusp forms.
     """
-    if sig.genus != basis.genus:
-        raise DomainError(
-            "signature genus %d does not match basis genus %d"
-            % (sig.genus, basis.genus))
-    if basis.genus < 2:
-        raise DomainError(
-            "no (m/2)-Weierstrass points exist for genus 0 or 1")
-    _checked_precision(basis, m)
+    check_inputs(basis, m, sig)
     vecs, matrix = _monomial_matrix(basis, m, basis.prec)
     result = echelon_reduce(matrix)
     t = dim_s_h(sig, m)

@@ -456,6 +456,43 @@ def test_weierstrass_basis_file_errors_are_pinned(tmp_path, text, message):
             1, "", "error: %s\n" % message)
 
 
+def _first_forms_of_34(tmp_path, k):
+    fs = load_fixture(34).series_list()[:k]
+    path = tmp_path / ("first%d_34.qexp" % k)
+    path.write_text(serialize(BasisFile(
+        "Gamma0(34)", 2, fs[0].prec,
+        [("f%d" % i, f.coeffs) for i, f in enumerate(fs)])))
+    return str(path)
+
+
+@pytest.mark.parametrize("forms, argv, message", [
+    (3, ("--weight", "5", "--level", "34"),
+     "weight must be an even integer >= 2, got 5"),
+    (3, ("--weight", "30", "--level", "34"),
+     "basis precision 40 is below the 76 coefficients required for genus "
+     "3, weight 30"),
+    (2, ("--weight", "4", "--level", "34"),
+     "signature genus 3 does not match basis genus 2"),
+    (1, ("--weight", "4", "--level", "34"),
+     "signature genus 3 does not match basis genus 1"),
+    (1, ("--weight", "4"),
+     "no (m/2)-Weierstrass points exist for genus 0 or 1"),
+], ids=["odd_weight", "weight_past_prec", "two_forms", "one_form_level",
+        "one_form"])
+def test_weierstrass_input_errors_print_nothing(tmp_path, forms, argv,
+                                                message):
+    # Checked before the header: stdout stays empty on an input error.
+    path = FIX34 if forms == 3 else _first_forms_of_34(tmp_path, forms)
+    assert run("weierstrass", path, *argv) == (1, "", "error: %s\n" % message)
+
+
+def test_wronskian_of_no_forms_prints_nothing(tmp_path):
+    path = tmp_path / "empty.qexp"
+    path.write_text("QEXP 1\nLEVEL x\nWEIGHT 2\nPREC 5\nFORMS 0\n")
+    assert run("wronskian", str(path)) == (
+        1, "", "error: need at least one input form\n")
+
+
 def test_weierstrass_missing_file():
     code, _, err = run("weierstrass", "no-such-file.qexp", "--weight", "4")
     assert code == 1 and "error:" in err

@@ -7,6 +7,7 @@ from math import comb, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qweier.weierstrass
 from conftest import FIXTURE_LEVELS, load_fixture, random_basis_change
 from qweier.errors import (
     DomainError,
@@ -27,6 +28,7 @@ from qweier.weierstrass import (
     SPAN_NOT_GUARANTEED,
     CuspBasis,
     ModularFormRecord,
+    _monomial_matrix,
     _PackedRows,
     monomials,
     required_precision,
@@ -273,21 +275,90 @@ def _full_width_rank(basis, m):
 def test_subspace_dimension_equals_the_full_width_rank(level):
     # subspace_dimension reads required_precision columns only; on a basis
     # of the weight-2 cusp forms that must lose no rank.  Checked on the
-    # fixture at every even m <= 14 whose required precision it holds, and
-    # on three unimodular changes of it at those m <= 8: the changed bases'
-    # wider entries make the full-width reference take seconds past that.
+    # fixture at every even m <= 14 whose required precision it holds.
+    # Three unimodular changes of it span the same space, so they must
+    # reach the fixture's rank at every such m; the full-width reference
+    # is checked on them at m <= 8 only, where it takes under seconds on
+    # their wider entries.
     basis = load_fixture(level)
     weights = [m for m in range(2, 15, 2)
                if required_precision(basis.genus, m) <= basis.prec]
+    ranks = {m: subspace_dimension(basis, m) for m in weights}
     for m in weights:
-        assert subspace_dimension(basis, m) == _full_width_rank(basis, m), m
+        assert ranks[m] == _full_width_rank(basis, m), m
     rng = random.Random(2000 + level)
     for _ in range(3):
         other = random_basis_change(basis, rng)
         for m in weights:
+            assert subspace_dimension(other, m) == ranks[m], m
             if m <= 8:
-                assert subspace_dimension(other, m) \
-                    == _full_width_rank(other, m), m
+                assert ranks[m] == _full_width_rank(other, m), m
+
+
+@st.composite
+def series_lists(draw):
+    """(basis, m): g = 1..5 series over denominators 1..6 with valuations
+    1..4, some shared, where some forms are combinations of earlier ones
+    plus c * q^k, at precision required_precision(g, m) and m = 4..12
+    with at most 126 monomials.  Sparse coefficients and combinations
+    give dead quadrics; a late q^k gives quadrics that are dependent
+    only modulo a lower power of q."""
+    g = draw(st.integers(min_value=1, max_value=5))
+    m = draw(st.sampled_from([m for m in range(4, 13, 2)
+                              if comb(g - 1 + m // 2, g - 1) <= 126]))
+    prec = required_precision(g, m)
+    coeff = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    series = []
+    for _ in range(g):
+        if series and draw(st.integers(0, 3)) == 0:
+            a, b = (draw(st.sampled_from(series)) for _ in range(2))
+            c = draw(st.sampled_from([-2, -1, 1, F(1, 2)]))
+            k = draw(st.integers(min_value=1, max_value=prec))
+            series.append(a + b.scaled(c) + QSeries.monomial(
+                draw(st.sampled_from([0, 1, -2])), k, prec))
+            continue
+        v = draw(st.integers(min_value=1, max_value=min(4, prec - 1)))
+        tail = draw(st.lists(coeff, min_size=prec - v - 1,
+                             max_size=prec - v - 1))
+        den = draw(st.sampled_from([1, 2, 3, 6]))
+        series.append(QSeries([F(c, den) for c in [0] * v + [1] + tail], prec))
+    return CuspBasis.from_series("test", series), m
+
+
+@settings(max_examples=80, deadline=None)
+@given(series_lists())
+def test_subspace_dimension_is_the_rank_of_every_monomial(case):
+    # The dead-quadric filter is exact on any series list, not only on a
+    # cusp basis: the rank equals the one of the unfiltered matrix on the
+    # same columns.
+    basis, m = case
+    need = required_precision(basis.genus, m)
+    full = _monomial_matrix(basis, m, need)[1]
+    assert subspace_dimension(basis, m) == len(pivot_columns(full))
+
+
+@pytest.mark.parametrize("level,m,budget", [
+    (60, 8, (28, 59)),  # 210 unfiltered rows
+    (35, 14, (6, 15)),  # 36 unfiltered rows
+])
+def test_subspace_dimension_row_budget(monkeypatch, level, m, budget):
+    # Fixed counts, unlike wall clock: the quadric rows swept for dead
+    # quadrics, then the degree-(m/2) rows that none of them divides.
+    seen = []
+
+    def spy(name, real):
+        def counted(matrix):
+            seen.append((name, matrix.rows))
+            return real(matrix)
+        return counted
+    monkeypatch.setattr(qweier.weierstrass, "dependent_rows",
+                        spy("quadrics", qweier.weierstrass.dependent_rows))
+    monkeypatch.setattr(qweier.weierstrass, "pivot_columns",
+                        spy("monomials", qweier.weierstrass.pivot_columns))
+    subspace_dimension(load_fixture(level), m)
+    assert [name for name, _ in seen] == ["quadrics", "monomials"]
+    assert all(0 < rows <= most
+               for (_, rows), most in zip(seen, budget)), seen
 
 
 def _cut(basis, prec):
