@@ -305,7 +305,7 @@ def _cmd_weierstrass(args, out):
         "weight m = %d: %d monomials of degree %d, expected dim %d, rank %d"
         % (
             report.m,
-            report.monomial_count,
+            len(report.monomial_exponents),
             report.m // 2,
             report.expected_dim,
             report.rank,

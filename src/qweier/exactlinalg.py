@@ -119,14 +119,12 @@ class EchelonResult:
 
 
 def _integer_row(values):
-    """values (anything Fraction() accepts) cleared by the lcm of their
+    """values (ints and Fractions only) cleared by the lcm of their
     denominators: (ints, lcm), with gcd(lcm, *ints) == 1.  A list of ints
     comes back as it is, over 1."""
     values = list(values)
     if {int}.issuperset(map(type, values)):
         return values, 1
-    values = [x if isinstance(x, (int, Fraction)) else Fraction(x)
-              for x in values]
     den = lcm(*[x.denominator for x in values])
     return [x.numerator * (den // x.denominator) for x in values], den
 

@@ -19,10 +19,12 @@ A signature file has lines ``GENUS g``, ``CUSPS t`` and optionally
 must be the signature of a Fuchsian group of the first kind.
 
 Every file the package reads is opened here; bytes that are not UTF-8
-raise ParseError.
+raise ParseError, and so does an integer of more digits than int() reads
+(sys.get_int_max_str_digits(), which is read and never set).
 """
 
 import re
+import sys
 
 from fractions import Fraction
 
@@ -97,10 +99,28 @@ def _keyword_line(lines, keyword):
     return number, parts[1].strip()
 
 
+def _ints(texts, line):
+    """[int(t) for t in texts].  A text of more digits than int() reads
+    (sys.get_int_max_str_digits()) is a ParseError at `line` that names
+    the digit count, not the bare ValueError of int(); any other
+    ValueError is the caller's."""
+    try:
+        return list(map(int, texts))
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        for text in texts:
+            digits = sum(map(str.isdecimal, text))
+            if limit and digits > limit:
+                raise ParseError(
+                    "an integer of %d digits is longer than the %d digits "
+                    "int() reads" % (digits, limit), line=line) from None
+        raise
+
+
 def _int_header(lines, keyword, minimum):
     number, value = _keyword_line(lines, keyword)
     try:
-        out = int(value)
+        (out,) = _ints([value], number)
     except ValueError:
         raise ParseError(
             "%s value %r is not an integer" % (keyword, value), line=number
@@ -123,9 +143,9 @@ def _coefficients(line, label, number):
                     "bad rational %r in form %r (use 'a' or 'a/b' with "
                     "b > 0)" % (tok, label), line=number)
     if "/" not in line:
-        return list(map(int, tokens))
-    return [Fraction(*map(int, tok.split("/"))) if "/" in tok else int(tok)
-            for tok in tokens]
+        return _ints(tokens, number)
+    return [Fraction(*_ints(tok.split("/"), number)) if "/" in tok
+            else _ints([tok], number)[0] for tok in tokens]
 
 
 def parse_basis_file(text):
@@ -219,7 +239,7 @@ def load_signature(path):
                 "expected one GENUS, CUSPS, or ELLIPTIC line, got %r" % line,
                 line=number)
         try:
-            fields[key] = [int(tok) for tok in values]
+            fields[key] = _ints(values, number)
         except ValueError:
             raise ParseError(
                 "non-integer value in %r" % line, line=number) from None

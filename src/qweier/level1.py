@@ -13,6 +13,7 @@ from functools import lru_cache
 from .errors import DependentInput, DomainError, NotInSpace, PrecisionError
 from .exactlinalg import pivot_columns, solve_on_rows
 from .qseries import QSeries, coefficient_matrix
+from .surface import _divisors
 
 #: Exponent pair (alpha, beta) of a monomial E4^alpha * E6^beta.
 MonomialExponent = namedtuple("MonomialExponent", ["alpha", "beta"])
@@ -22,16 +23,7 @@ def sigma(n, k):
     """Sum of the k-th powers of the positive divisors of n."""
     if n <= 0:
         raise DomainError("sigma(n, k) needs n >= 1, got n=%d" % n)
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d ** k
-            e = n // d
-            if e != d:
-                total += e ** k
-        d += 1
-    return total
+    return sum(d ** k for d in _divisors(n))
 
 
 @lru_cache(maxsize=None)

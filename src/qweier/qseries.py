@@ -3,11 +3,13 @@
 A QSeries stores the coefficients of q^0 ... q^(prec-1); the series is known
 modulo q^prec.  Precision is data: every operation computes the precision it
 can actually guarantee for its result, and comparisons should only ever be
-made on the common guaranteed range.  The coefficients are integer
-numerators `nums` over one denominator `den` > 0 in lowest terms
-(gcd(den, *nums) == 1), so equal series have equal (nums, den, prec), and
-every operation runs on Python ints -- no floating point anywhere.
-fractions.Fraction appears only at the edge: a caller's numbers are cleared
+made on the common guaranteed range: a.truncated(p) == b.truncated(p) for
+p = min(a.prec, b.prec), and s.valuation() is None when s vanishes modulo
+q^prec.  The coefficients are integer numerators `nums` over one
+denominator `den` > 0 in lowest terms (gcd(den, *nums) == 1), so equal
+series have equal (nums, den, prec), and every operation runs on Python
+ints -- no floating point anywhere.  fractions.Fraction appears only at the
+edge: a caller's ints and Fractions (nothing else is accepted) are cleared
 to integers once, and `.coeffs` and `coeff` build Fractions on reading.
 
 Values are immutable after construction; all operations are pure functions.
@@ -32,6 +34,7 @@ class QSeries:
             prec = len(coeffs)
         if prec < 0:
             raise DomainError("prec must be nonnegative")
+        _require_exact(coeffs)
         nums, den = _integer_row(coeffs[:prec])
         nums += [0] * (prec - len(nums))
         _set_slots(self, nums=tuple(nums), den=den, prec=prec, _coeffs=None)
@@ -65,10 +68,7 @@ class QSeries:
         """c * q^n (n >= 0) as a series of the given precision."""
         if n < 0:
             raise DomainError("monomial exponent must be >= 0, got %d" % n)
-        coeffs = [0] * prec
-        if n < prec:
-            coeffs[n] = c
-        return QSeries(coeffs, prec)
+        return QSeries([0] * min(n, prec) + [c], prec)
 
     # -- basic queries -------------------------------------------------
 
@@ -81,16 +81,14 @@ class QSeries:
 
     def coeff(self, n):
         """Coefficient of q^n; n must be inside the stored window."""
-        if not 0 <= n < self.prec:
+        if n < 0:
+            raise DomainError("coefficient index must be >= 0, got %d" % n)
+        if n >= self.prec:
             raise PrecisionError(
                 "coefficient of q^%d requested but series is only known mod q^%d"
                 % (n, self.prec)
             )
         return Fraction(self.nums[n], self.den)
-
-    def is_zero(self):
-        """True when every stored coefficient vanishes."""
-        return not any(self.nums)
 
     def valuation(self):
         """Index of the first nonzero coefficient, or None when every
@@ -156,7 +154,7 @@ class QSeries:
         return NotImplemented
 
     def scaled(self, c):
-        c = c if isinstance(c, (int, Fraction)) else Fraction(c)
+        _require_exact((c,))
         return QSeries.from_numerators(
             [c.numerator * x for x in self.nums], self.den * c.denominator)
 
@@ -241,23 +239,6 @@ class QSeries:
     def __hash__(self):
         return hash((self.nums, self.den, self.prec))
 
-    def agrees_with(self, other, prec=None):
-        """Coefficientwise equality on the common guaranteed range (or on
-        the first `prec` coefficients when given)."""
-        common = min(self.prec, other.prec)
-        if prec is not None:
-            if prec < 0:
-                raise DomainError("prec must be nonnegative")
-            if prec > common:
-                raise PrecisionError(
-                    "comparison to precision %d requested but only %d is stored"
-                    % (prec, common)
-                )
-            common = prec
-        da, db = self.den, other.den
-        return all(x * db == y * da for x, y in
-                   zip(self.nums[:common], other.nums[:common]))
-
     def qstring(self, max_terms=None):
         """Human-readable expansion like 'q - 24*q^2 + 252*q^3 + O(q^60)'."""
         parts = []
@@ -286,6 +267,16 @@ class QSeries:
 
     def __repr__(self):
         return "QSeries(%s)" % self.qstring(max_terms=6)
+
+
+def _require_exact(values):
+    """DomainError naming the type of the first value that is neither an
+    int nor a Fraction: a float, string or Decimal would otherwise be
+    read as some nearby rational."""
+    for x in values:
+        if not isinstance(x, (int, Fraction)):
+            raise DomainError("series coefficients and scalars must be int or "
+                              "Fraction, got %s" % type(x).__name__)
 
 
 def coefficient_matrix(series, prec):

@@ -107,20 +107,17 @@ class WeierstrassReport:
     argument.
     """
 
-    __slots__ = ("m", "expected_dim", "monomial_count", "rank",
-                 "gap_sequence", "is_weierstrass", "criterion_bound",
-                 "rows", "combinations", "monomial_exponents", "flags")
+    __slots__ = ("m", "expected_dim", "rank", "gap_sequence",
+                 "is_weierstrass", "rows", "combinations",
+                 "monomial_exponents", "flags")
 
-    def __init__(self, m, expected_dim, monomial_count, rank, gap_sequence,
-                 is_weierstrass, criterion_bound, rows, combinations,
-                 monomial_exponents, flags=()):
+    def __init__(self, m, expected_dim, rank, gap_sequence, is_weierstrass,
+                 rows, combinations, monomial_exponents, flags=()):
         self.m = m
         self.expected_dim = expected_dim
-        self.monomial_count = monomial_count
         self.rank = rank
         self.gap_sequence = tuple(gap_sequence)
         self.is_weierstrass = is_weierstrass
-        self.criterion_bound = criterion_bound
         self.rows = rows
         self.combinations = combinations
         self.monomial_exponents = tuple(monomial_exponents)
@@ -155,7 +152,6 @@ def required_precision(g, m):
 def _checked_precision(basis, m):
     """required_precision(genus, m), after checking that m is an even
     weight and that the basis carries that many coefficients."""
-    _require_even_weight(m, 2)
     g = basis.genus
     need = required_precision(g, m)
     if basis.prec < need:
@@ -415,11 +411,9 @@ def weierstrass_test(basis, m, sig, hyperelliptic_status=NOT_HYPERELLIPTIC):
     return WeierstrassReport(
         m=m,
         expected_dim=t,
-        monomial_count=len(vecs),
         rank=rank,
         gap_sequence=pivots,
         is_weierstrass=is_weierstrass,
-        criterion_bound=m // 2 + m * (basis.genus - 1),
         rows=rows,
         combinations=combinations,
         monomial_exponents=vecs,

@@ -213,15 +213,6 @@ def span_valuations(fs):
     return tuple(pivots)
 
 
-def cusp_order_identity_check(fs):
-    """Compare the certified q-valuation of the q-Wronskian (lhs) with the
-    sum of the span valuations (rhs); the two are provably equal for any
-    list of linearly independent forms."""
-    lhs = wronskian_valuation(fs)
-    rhs = sum(span_valuations(fs))
-    return lhs, rhs, lhs == rhs
-
-
 def elliptic_wronskian_order(span_total, k, e):
     """(span_total - k(k-1)/2)/e as an exact rational: the vanishing order
     of the Wronskian at an interior point of period e, given the span

@@ -268,7 +268,8 @@ def test_criterion_6_weierstrass_fixtures():
             published = QSeries([exp.get(n, F(0)) for n in range(width)], width)
             assert full.truncated(width) == published, (level, i)
             # and it lies in the span of the computed echelon rows
-            assert _reduce_against(report.rows, full).is_zero(), (level, i)
+            assert _reduce_against(report.rows, full).valuation() is None, \
+                (level, i)
             # where the deterministic schedule pins the row, it agrees up
             # to the recorded scalar
             scalar = GOLDEN_SCALARS[level].get(i)
@@ -347,7 +348,7 @@ def test_criterion_8a_wronskian_properties_on_200_instances():
             for c, s in zip(coeffs, fs[:-1]):
                 combo = combo + s.scaled(c)
             dependent = fs[:-1] + [combo]
-            assert q_wronskian(dependent).is_zero()
+            assert q_wronskian(dependent).valuation() is None
     _passed(8, "A: alternating/multilinear/dependence-vanishing on 200 "
                "random instances")
 

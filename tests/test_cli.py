@@ -486,6 +486,19 @@ def test_weierstrass_input_errors_print_nothing(tmp_path, forms, argv,
     assert run("weierstrass", path, *argv) == (1, "", "error: %s\n" % message)
 
 
+@pytest.mark.skipif(not 0 < sys.get_int_max_str_digits() < 5000,
+                    reason="int() reads 5000-digit integers here")
+@pytest.mark.parametrize("token", ["9" * 5000, "1/" + "9" * 5000])
+def test_an_integer_past_the_digit_limit_is_a_line_error(tmp_path, token):
+    path = tmp_path / "long.qexp"
+    path.write_text("QEXP 1\nLEVEL x\nWEIGHT 2\nPREC 2\nFORMS 1\nFORM f\n"
+                    "0 %s\n" % token)
+    message = ("error: line 7: an integer of 5000 digits is longer than the "
+               "%d digits int() reads\n" % sys.get_int_max_str_digits())
+    for argv in (["wronskian"], ["weierstrass", "--weight", "2"]):
+        assert run(argv[0], str(path), *argv[1:]) == (1, "", message)
+
+
 def test_wronskian_of_no_forms_prints_nothing(tmp_path):
     path = tmp_path / "empty.qexp"
     path.write_text("QEXP 1\nLEVEL x\nWEIGHT 2\nPREC 5\nFORMS 0\n")

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -95,6 +96,29 @@ def test_bad_rational_tokens(token):
     with pytest.raises(ParseError) as info:
         parse_basis_file(bad)
     assert info.value.line == 7
+
+
+LONG = "7" * 5000
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+needs_digit_limit = pytest.mark.skipif(
+    not 0 < DIGIT_LIMIT < len(LONG),
+    reason="int() reads %d-digit integers here" % len(LONG))
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("old, new, line", [
+    ("-1 2", "-%s 2" % LONG, 7),
+    ("-1 2", "%s/3 2" % LONG, 7),
+    ("PREC 5", "PREC %s" % LONG, 4),
+], ids=["coefficient", "numerator", "prec"])
+def test_integers_past_the_digit_limit_are_line_errors(old, new, line):
+    with pytest.raises(ParseError) as info:
+        parse_basis_file(GOOD.replace(old, new))
+    assert info.value.line == line
+    assert str(info.value) == (
+        "line %d: an integer of 5000 digits is longer than the %d digits "
+        "int() reads" % (line, DIGIT_LIMIT))
+    assert sys.get_int_max_str_digits() == DIGIT_LIMIT
 
 
 # -- coefficient lines against a per-token reference --------------------------
@@ -304,6 +328,15 @@ def test_signature_file_must_be_hyperbolic(tmp_path, text):
     path.write_text(text)
     with pytest.raises(DomainError, match="no Fuchsian group"):
         load_signature(path)
+
+
+@needs_digit_limit
+def test_signature_integer_past_the_digit_limit_is_a_line_error(tmp_path):
+    path = tmp_path / "long.sig"
+    path.write_text("CUSPS 4\nGENUS %s\n" % LONG)
+    with pytest.raises(ParseError) as info:
+        load_signature(path)
+    assert info.value.line == 2 and LONG not in str(info.value)
 
 
 def test_signature_file_just_past_the_bound_is_accepted(tmp_path):

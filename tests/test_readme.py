@@ -5,17 +5,22 @@ the repository root, and the lines shown under it must be its output; a
 block whose last shown line is `...` shows a prefix of the output.  In
 the library example, a comment that holds a Python literal gives the value
 of the expression on its line, or, on a line of its own, of the targets
-assigned just above it.
+assigned just above it.  Every backticked Python name the prose mentions
+must exist.
 """
 
 import ast
+import builtins
+import importlib
 import io
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import qweier
 from qweier.cli import cli_dispatch
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,3 +93,32 @@ def test_readme_library_example(monkeypatch):
         "report.gap_sequence", "report.is_weierstrass", "order, bound, verdict"]
     for expr, value in checks:
         assert eval(expr, namespace) == value, expr
+
+
+# A backticked token that is a name, an optional .attr and an optional
+# call, whose name has an underscore or is CamelCase (QSeries, not PREC).
+_NAME_TOKEN = re.compile(r"`([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?(?:\([^`]*\))?`")
+_CAMEL_CASE = re.compile(r"(?=.*[a-z])[A-Z]\w*[A-Z]\w*")
+
+
+def _readme_names():
+    """(token, name, attr or None) for each Python name in backticks."""
+    names = set()
+    for match in _NAME_TOKEN.finditer(README):
+        name, attr = match.groups()
+        if "_" in name or _CAMEL_CASE.fullmatch(name):
+            names.add((match.group(0), name, attr))
+    return sorted(names)
+
+
+def test_readme_names_resolve():
+    names = _readme_names()
+    owners = [qweier, builtins] + [
+        importlib.import_module("qweier." + info.name)
+        for info in pkgutil.iter_modules(qweier.__path__)]
+    unresolved = [
+        token for token, name, attr in names
+        if not any(hasattr(owner, name) and (
+            attr is None or hasattr(getattr(owner, name), attr))
+            for owner in owners)]
+    assert names and unresolved == []

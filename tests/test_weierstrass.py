@@ -402,7 +402,7 @@ def test_monomial_enumeration_leaves_no_reference_cycle():
 def test_level34_weight4_not_a_weierstrass_point():
     report = run_fixture(34, 4)
     assert report.rank == report.expected_dim == 6
-    assert report.monomial_count == 6
+    assert len(report.monomial_exponents) == 6
     assert report.gap_sequence == (2, 3, 4, 5, 6, 7)
     assert not report.is_weierstrass
     assert report.flags == ()
@@ -417,7 +417,7 @@ def test_level34_weight2_ordinary_point():
 def test_level55_weight4_is_a_weierstrass_point():
     report = run_fixture(55, 4)
     assert report.rank == report.expected_dim == 12
-    assert report.monomial_count == 15
+    assert len(report.monomial_exponents) == 15
     assert report.gap_sequence == (2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14)
     assert report.is_weierstrass
 
@@ -487,11 +487,11 @@ def test_genus_below_two_rejected():
 def test_report_bookkeeping_fields():
     report = run_fixture(34, 4)
     assert report.m == 4
-    assert report.criterion_bound == 4 // 2 + 4 * (3 - 1)
+    # the largest admissible leading exponent, m/2 + m(g-1)
+    bound = required_precision(3, 4) - 1
+    assert bound == 4 // 2 + 4 * (3 - 1)
     assert len(report.rows) == len(report.combinations) == report.rank
-    assert len(report.monomial_exponents) == report.monomial_count
-    assert all(report.m // 2 <= i <= report.criterion_bound
-               for i in report.gap_sequence)
+    assert all(report.m // 2 <= i <= bound for i in report.gap_sequence)
 
 
 def test_rows_realize_the_gap_sequence():
