@@ -29,7 +29,7 @@ from .level1 import (
     eisenstein_e4,
     eisenstein_e6,
     express_in_monomials,
-    power_ladder,
+    monomial_ladder,
 )
 from .qseries import QSeries
 from .surface import (
@@ -149,33 +149,21 @@ def _level1_step(t):
     return half, rest_weight, half + dim_m(rest_weight) + 1
 
 
-def _level1_inputs(prec, tmax):
-    """E4 and E6 modulo q^prec, and inputs(t, n): the t + 1 inputs
-    E4^(3u) * E6^(2(t-u)), u = t..0, modulo q^n for t <= tmax and
-    n <= prec, each one product of two power-ladder entries."""
-    e4 = eisenstein_e4(prec)
-    e6 = eisenstein_e6(prec)
-    a_pows = power_ladder(QSeries.one(prec), e4 ** 3, tmax + 1)
-    b_pows = power_ladder(QSeries.one(prec), e6 ** 2, tmax + 1)
-
-    def inputs(t, n):
-        return [a_pows[u].truncated(n) * b_pows[t - u].truncated(n)
-                for u in range(t, -1, -1)]
-    return e4, e6, inputs
-
-
 def _cmd_level1(args, out):
     # --prec caps the working precision; each step works modulo its own
     # q^needed, the most the certificate asks for.
     prec = min(args.prec, _level1_step(args.tmax)[2])
-    e4, e6, inputs = _level1_inputs(prec, args.tmax)
-    # S^t and R_t = S^(t(t+1)/2) for S = Delta * E4^2 * E6, one product
-    # each per step.
+    e4 = eisenstein_e4(prec)
+    e6 = eisenstein_e6(prec)
+    a, b = e4 ** 3, e6 ** 2
     s = delta(prec) * e4 * e4 * e6
-    s_t = r_t = QSeries.one(prec)
+    # The powers of E4^3 and E6^2 up to t, whose products are the t + 1
+    # inputs E4^(3u) * E6^(2(t-u)), u = t..0; S^t and R_t = S^(t(t+1)/2)
+    # for S = Delta * E4^2 * E6.  Each grows by one product per step, once
+    # the step's precision check has passed.
+    one = QSeries.one(prec)
+    a_pows, b_pows, s_t, r_t = [one], [one], one, one
     for t in range(1, args.tmax + 1):
-        s_t = s_t * s
-        r_t = r_t * s_t
         half, rest_weight, needed = _level1_step(t)
         if args.prec < needed:
             raise PrecisionError(
@@ -183,7 +171,13 @@ def _cmd_level1(args, out):
                 "certify the weight-%d quotient), got %d"
                 % (t, needed, half, half, needed - half, rest_weight,
                    args.prec))
-        wq = q_wronskian(inputs(t, needed))
+        a_pows.append(a_pows[-1] * a)
+        b_pows.append(b_pows[-1] * b)
+        s_t = s_t * s
+        r_t = r_t * s_t
+        wq = q_wronskian([a_pows[u].truncated(needed)
+                          * b_pows[t - u].truncated(needed)
+                          for u in range(t, -1, -1)])
         # R_t = q^half + ..., so the only candidate multiple of it is
         # lambda * R_t with lambda the coefficient of q^half in W_q.
         lam = wq.coeff(half)
@@ -191,9 +185,9 @@ def _cmd_level1(args, out):
             # At the full --prec, the monomial solve raises NotInSpace or
             # DependentInput when W_q / Delta^half is no form of weight
             # rest_weight; otherwise it is a form other than a nonzero
-            # multiple of E4^(2 half) * E6^half.
-            _, _, full = _level1_inputs(args.prec, t)
-            wq = q_wronskian(full(t, args.prec))
+            # multiple of E4^(2 half) * E6^half.  The inputs are the
+            # weight-12t monomials, in m_basis order.
+            wq = q_wronskian(monomial_ladder(12 * t, args.prec))
             quotient = wq.exact_div(delta(args.prec) ** half)
             express_in_monomials(quotient, rest_weight)
             _print(

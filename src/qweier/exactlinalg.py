@@ -171,11 +171,12 @@ def _cancel(x, y, p):
 def echelon_reduce(m):
     """Sorted fraction-free Gaussian elimination.
 
-    Scheduling: repeatedly sort rows by leading-zero count (ties by
-    original row index) and cancel the leading coefficient of every row
-    sharing its pivot column with its predecessor; repeat to a fixed
-    point.  The rows are the integer numerators of m, and each
-    cancellation b*x - a*y is followed by division by the row's content.
+    Scheduling: repeatedly sort the (leading column, original index, row)
+    triples, whose first two entries are unique, so rows are never
+    compared, and cancel the leading coefficient of every row sharing its
+    pivot column with its predecessor; repeat to a fixed point.  The rows
+    are the integer numerators of m, and each cancellation b*x - a*y is
+    followed by division by the row's content.
 
     The output does not depend on how the working rows are scaled.
     Leading-zero counts, tie-breaking and the cancellation pattern are
@@ -189,26 +190,20 @@ def echelon_reduce(m):
     input rows when it is asked for.
     """
     r, c = m.rows, m.cols
-    rows = list(m.nums)
-    leads = [_lead(row, 0, c) for row in rows]
-    orig = list(range(r))
-
+    work = [(_lead(row, 0, c), i, row) for i, row in enumerate(m.nums)]
     changed = True
     while changed:
-        order = sorted(range(r), key=lambda i: (leads[i], orig[i]))
-        rows = [rows[i] for i in order]
-        leads = [leads[i] for i in order]
-        orig = [orig[i] for i in order]
+        work.sort()
         changed = False
         for i in range(1, r):
-            p = leads[i]
-            if p < c and p == leads[i - 1]:
-                rows[i] = _cancel(rows[i], rows[i - 1], p)
-                leads[i] = _lead(rows[i], p + 1, c)
+            p, orig, row = work[i]
+            if p < c and p == work[i - 1][0]:
+                row = _cancel(row, work[i - 1][2], p)
+                work[i] = (_lead(row, p + 1, c), orig, row)
                 changed = True
 
     pivots, ech = [], []
-    for row, p in zip(rows, leads):
+    for p, _, row in work:
         if p < c:
             pivots.append(p)
             ech.append(_normalized(row, p))

@@ -18,9 +18,11 @@ A signature file has lines ``GENUS g``, ``CUSPS t`` and optionally
 ``ELLIPTIC e1 e2 ...``, with the same comment and blank-line rules; it
 must be the signature of a Fuchsian group of the first kind.
 
-Every file the package reads is opened here; bytes that are not UTF-8
-raise ParseError, and so does an integer of more digits than int() reads
-(sys.get_int_max_str_digits(), which is read and never set).
+Every integer in either file (w, P, k, g, t, each e_i, and a and b) is
+written -?\\d+; ``+3`` or ``1_0``, which int() would read, is a
+ParseError.  Every file the package reads is opened here; bytes that are
+not UTF-8 raise ParseError, and so does an integer of more digits than
+int() reads (sys.get_int_max_str_digits(), which is read and never set).
 """
 
 import re
@@ -33,7 +35,9 @@ from .qseries import QSeries
 from .surface import SurfaceSignature
 from .weierstrass import CuspBasis, ModularFormRecord
 
-_TOKEN = r"-?\d+(?:/[1-9]\d*)?"
+_INT = r"-?\d+"
+_INTEGER = re.compile(_INT)
+_TOKEN = _INT + r"(?:/[1-9]\d*)?"
 _RATIONAL = re.compile(_TOKEN + r"\Z")
 # A whole line of such tokens; \s is exactly the whitespace str.split()
 # splits on, and \d exactly the digits int() reads.
@@ -100,10 +104,10 @@ def _keyword_line(lines, keyword):
 
 
 def _ints(texts, line):
-    """[int(t) for t in texts].  A text of more digits than int() reads
+    """[int(t) for t in texts], for texts the caller has matched against
+    the integer grammar -?\\d+.  A text of more digits than int() reads
     (sys.get_int_max_str_digits()) is a ParseError at `line` that names
-    the digit count, not the bare ValueError of int(); any other
-    ValueError is the caller's."""
+    the digit count, not the bare ValueError of int()."""
     try:
         return list(map(int, texts))
     except ValueError:
@@ -119,12 +123,10 @@ def _ints(texts, line):
 
 def _int_header(lines, keyword, minimum):
     number, value = _keyword_line(lines, keyword)
-    try:
-        (out,) = _ints([value], number)
-    except ValueError:
+    if not _INTEGER.fullmatch(value):
         raise ParseError(
-            "%s value %r is not an integer" % (keyword, value), line=number
-        ) from None
+            "%s value %r is not an integer" % (keyword, value), line=number)
+    (out,) = _ints([value], number)
     if out < minimum:
         raise ParseError(
             "%s must be >= %d, got %d" % (keyword, minimum, out), line=number)
@@ -238,11 +240,9 @@ def load_signature(path):
             raise ParseError(
                 "expected one GENUS, CUSPS, or ELLIPTIC line, got %r" % line,
                 line=number)
-        try:
-            fields[key] = _ints(values, number)
-        except ValueError:
-            raise ParseError(
-                "non-integer value in %r" % line, line=number) from None
+        if not all(map(_INTEGER.fullmatch, values)):
+            raise ParseError("non-integer value in %r" % line, line=number)
+        fields[key] = _ints(values, number)
     for key in ("GENUS", "CUSPS"):
         if key not in fields or len(fields[key]) != 1:
             raise ParseError("signature file needs a single-value %s line" % key)

@@ -260,6 +260,35 @@ def test_level1_verify_product_budget(monkeypatch):
     assert 0 < calls["out_coeffs"] <= 2700
 
 
+def test_level1_verify_makes_no_products_past_a_refused_step(monkeypatch):
+    # At --prec 40, --tmax 1000 refuses t = 6 after the five steps that
+    # --tmax 5 passes, so it makes no more products: the inputs grow with
+    # the steps, not up to --tmax in advance.  Each run is made once
+    # before counting, so both find Eisenstein series and Delta cached.
+    short = ("level1", "verify", "--tmax", "5", "--prec", "40")
+    long = ("level1", "verify", "--tmax", "1000", "--prec", "40")
+    assert run(*long) == (1, (
+        "lambda(1) = -1728\n"
+        "lambda(2) = -10319560704\n"
+        "lambda(3) = 319479999370622926848\n"
+        "lambda(4) = 68364378374333704222737683932250112\n"
+        "lambda(5) = -126394974305585413518438684379757865623988230600785920\n"
+    ), "error: t = 6 needs --prec at least 47 (21 for Delta^21 and 26 to "
+       "certify the weight-294 quotient), got 40\n")
+    assert run(*short)[0] == 0
+    calls = []
+    product = QSeries.__mul__
+
+    def counted_product(a, b):
+        calls.append(1)
+        return product(a, b)
+    monkeypatch.setattr(QSeries, "__mul__", counted_product)
+    run(*short)
+    short_calls = len(calls)
+    run(*long)
+    assert 0 < len(calls) - short_calls <= short_calls
+
+
 @pytest.mark.parametrize("prec", ["40", "200"])
 def test_level1_verify_works_at_the_certified_precision(monkeypatch, prec):
     seen = []

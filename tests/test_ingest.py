@@ -90,6 +90,31 @@ def test_non_integer_header_value():
     assert info.value.line == 4
 
 
+@pytest.mark.parametrize("old, new, line, message", [
+    ("PREC 5", "PREC +3", 4, "PREC value '+3' is not an integer"),
+    # int() reads 1_0 as 10, and the error was a coefficient count.
+    ("PREC 5", "PREC 1_0", 4, "PREC value '1_0' is not an integer"),
+    ("WEIGHT 2", "WEIGHT +2", 3, "WEIGHT value '+2' is not an integer"),
+    ("FORMS 1", "FORMS 0_1", 5, "FORMS value '0_1' is not an integer"),
+    ("WEIGHT 2", "WEIGHT -2", 3, "WEIGHT must be >= 0, got -2"),
+    ("PREC 5", "PREC -0", 4, "PREC must be >= 1, got 0"),
+], ids=["plus", "underscore", "weight_plus", "forms_underscore",
+        "negative_weight", "negative_zero_prec"])
+def test_header_values_share_the_coefficient_integer_grammar(
+        old, new, line, message):
+    # A header value is an integer exactly when it would be one as a
+    # coefficient numerator: -?\d+.
+    with pytest.raises(ParseError) as info:
+        parse_basis_file(GOOD.replace(old, new))
+    assert str(info.value) == "line %d: %s" % (line, message)
+
+
+def test_header_values_read_the_digits_int_reads():
+    # \d and int() agree on every decimal digit, as for coefficients.
+    text = GOOD.replace("PREC 5", "PREC \u0665")
+    assert parse_basis_file(text) == parse_basis_file(GOOD)
+
+
 @pytest.mark.parametrize("token", ["3/-4", "3/0", "1.5", "x", "--2", "2/"])
 def test_bad_rational_tokens(token):
     bad = GOOD.replace("0 1 -2 -1 2", "0 1 %s -1 2" % token)
@@ -328,6 +353,22 @@ def test_signature_file_must_be_hyperbolic(tmp_path, text):
     path.write_text(text)
     with pytest.raises(DomainError, match="no Fuchsian group"):
         load_signature(path)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("GENUS 1_0\nCUSPS 1\n", 1),
+    ("GENUS 2\nCUSPS +1\n", 2),
+    ("GENUS 0\nCUSPS 1\nELLIPTIC 2 +3 7\n", 3),
+], ids=["genus_underscore", "cusps_plus", "elliptic_plus"])
+def test_signature_values_share_the_coefficient_integer_grammar(
+        tmp_path, text, line):
+    # int() reads 1_0 as 10 and +1 as 1; neither is a -?\d+ token.
+    path = tmp_path / "odd.sig"
+    path.write_text(text)
+    with pytest.raises(ParseError) as info:
+        load_signature(path)
+    bad = text.splitlines()[line - 1]
+    assert str(info.value) == "line %d: non-integer value in %r" % (line, bad)
 
 
 @needs_digit_limit

@@ -1,16 +1,31 @@
 """Source rules of the exact engine, checked on the syntax tree of every
-module in src/qweier: no assert statement (every failure is a typed
-QweierError, also under python -O), and no floating point: no float
-literal, no use of the name float, and no true division `/` (write
-Fraction(a, b) or use // on integers)."""
+module in src/qweier: no assert statement, and every raise either bare or
+of a QweierError subclass (every failure is a typed QweierError, also
+under python -O), apart from three built-in kinds: a TypeError for a bad
+operand, an AttributeError from an immutable __setattr__ and
+argparse.ArgumentTypeError for an argument type.  No floating point: no float literal, no use of the name float, and no true
+division `/` (write Fraction(a, b) or use // on integers)."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+from qweier import errors
+
 SOURCES = sorted(
     (Path(__file__).resolve().parent.parent / "src" / "qweier").glob("*.py"))
+
+RAISABLE = {name for name, value in vars(errors).items()
+            if isinstance(value, type)
+            and issubclass(value, errors.QweierError)} | {
+    "TypeError", "AttributeError", "argparse.ArgumentTypeError"}
+
+
+def _raised(node):
+    """The dotted name a raise statement raises, e.g. 'ParseError'."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return ast.unparse(exc)
 
 
 def _violations(tree):
@@ -24,6 +39,9 @@ def _violations(tree):
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
                 node.op, ast.Div):
             yield node.lineno, "true division /"
+        elif isinstance(node, ast.Raise) and node.exc is not None \
+                and _raised(node) not in RAISABLE:
+            yield node.lineno, "raise %s" % _raised(node)
 
 
 def test_sources_are_found():
@@ -39,7 +57,12 @@ def test_source_follows_the_exact_arithmetic_rules(path):
 
 
 def test_the_rules_catch_each_kind():
-    text = "assert x\ny = 0.5\nz = float(y)\nw = a / b\nw /= 2\n"
+    text = ("assert x\ny = 0.5\nz = float(y)\nw = a / b\nw /= 2\n"
+            "raise ValueError('x')\nraise exc\n"
+            # Each of these passes.
+            "raise\nraise ParseError('x') from None\n"
+            "raise argparse.ArgumentTypeError('x')\n")
     assert sorted(_violations(ast.parse(text))) == [
         (1, "assert statement"), (2, "float literal 0.5"),
-        (3, "the name float"), (4, "true division /"), (5, "true division /")]
+        (3, "the name float"), (4, "true division /"), (5, "true division /"),
+        (6, "raise ValueError"), (7, "raise exc")]
