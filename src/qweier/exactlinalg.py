@@ -5,12 +5,14 @@ Fraction appears only in the `entries` view and the coordinates
 solve_on_rows returns.  Two primitive integer rows are combined by
 cross-multiplication (b*x - a*y, with a and b the two entries to cancel
 over their gcd) and the result is divided by its content: the
-fraction-free elimination of Bareiss (1968).  Two schedules use it: the
-sorted one of echelon_reduce, which fixes the echelon rows, and one
-sweep over the rows, which finds pivot columns (pivot_columns), the rows
-that depend on the rows before them (dependent_rows) and, in
-the one solve solve_on_rows, writes row-space vectors on independent
-input rows.  Determinants of series matrices live in wronskian.
+fraction-free elimination of Bareiss (1968).  Two schedules use it.
+One sweep over the rows finds pivot columns (pivot_columns), the rows
+that depend on the rows before them (dependent_rows), and the
+independent input rows on which the one solve, solve_on_rows, writes
+row-space vectors.  The sorted schedule fixes the echelon rows:
+echelon_reduce runs it on the pivot columns that one full-width sweep
+finds, and writes its rows back at full width against that sweep's
+pivot rows.  Determinants of series matrices live in wronskian.
 """
 
 from fractions import Fraction
@@ -64,32 +66,36 @@ class EchelonResult:
     pivots are the leading-entry columns of the nonzero echelon rows,
     strictly increasing; rank = number of nonzero rows, which come first.
     combinations() writes each nonzero echelon row as a combination of
-    `rank` independent input rows.  transform is an invertible r x r matrix
-    with transform * input = echelon exactly, derived on first read: its
-    first `rank` rows are those combinations, and each later row is an
-    exact relation among the inputs, e_j - (row j written on the
-    independent rows) for an input row j outside them, in increasing j,
-    as integers with content 1 and a positive leading entry.
+    the basis: the `rank` input rows independent of the rows before them,
+    which echelon_reduce's sweep picked.  transform is an invertible r x r
+    matrix with transform * input = echelon exactly, derived on first
+    read: its first `rank` rows are those combinations, and each later
+    row is an exact relation among the inputs, e_j - (row j written on
+    the basis) for an input row j outside it, in increasing j, as
+    integers with content 1 and a positive leading entry.
     """
 
-    __slots__ = ("echelon", "pivots", "rank", "_source", "_transform")
+    __slots__ = ("echelon", "pivots", "rank", "_source", "_basis",
+                 "_transform")
 
-    def __init__(self, echelon, pivots, rank, source):
+    def __init__(self, echelon, pivots, rank, source, basis):
         self.echelon = echelon
         self.pivots = pivots
         self.rank = rank
         self._source = source
+        self._basis = basis
         self._transform = None
 
     def combinations(self):
         """For each nonzero echelon row, a tuple of input-row coefficients
         (Fractions) whose combination of the input rows is that row.  All
-        are supported on the same `rank` independent input rows, so each is
-        a valid combination, not the unique one when rank < rows."""
+        are supported on the basis, the same `rank` independent input rows,
+        so each is a valid combination, not the unique one when rank <
+        rows."""
         k = self.rank
         rows = RatMatrix(self.echelon.nums[:k], [1] * k, self.echelon.cols)
-        _, coords = solve_on_rows(self._source, self.pivots, rows)
-        return [tuple(x) for x in coords]
+        return [tuple(x) for x in _coordinates(
+            self._source, self.pivots, self._basis, rows)]
 
     @property
     def transform(self):
@@ -101,7 +107,8 @@ class EchelonResult:
         m, k = self._source, self.rank
         rows = RatMatrix(
             self.echelon.nums[:k] + m.nums, [1] * k + list(m.dens), m.cols)
-        basis, coords = solve_on_rows(m, self.pivots, rows)
+        basis = self._basis
+        coords = _coordinates(m, self.pivots, basis, rows)
         nums, dens = [], []
         for x in coords[:k]:
             ints, den = _integer_row(x)
@@ -168,49 +175,109 @@ def _cancel(x, y, p):
     return [0] * (p + 1) + ([u // g for u in row] if g > 1 else row)
 
 
-def echelon_reduce(m):
-    """Sorted fraction-free Gaussian elimination.
+def echelon_reduce(m, *, rows=None):
+    """Sorted fraction-free Gaussian elimination, with the schedule run on
+    the pivot columns only.
 
-    Scheduling: repeatedly sort the (leading column, original index, row)
-    triples, whose first two entries are unique, so rows are never
-    compared, and cancel the leading coefficient of every row sharing its
-    pivot column with its predecessor; repeat to a fixed point.  The rows
-    are the integer numerators of m, and each cancellation b*x - a*y is
-    followed by division by the row's content.
+    The echelon rows are those of the sorted schedule (_sorted_schedule)
+    run on every row of m at all m.cols columns, each nonzero row then
+    divided by its content and made positive at its leading entry; zero
+    rows come last.  They are found in three steps:
 
-    The output does not depend on how the working rows are scaled.
+    1. Sweep: one _sweep at full width over the rows `rows` gives the
+       pivot columns, a primitive pivot row for each, and the basis: the
+       rows that open a pivot.
+    2. Schedule: the sorted schedule runs on every row cut to the k
+       pivot columns.
+    3. Extend: each of the k nonzero rows it leaves is written back at
+       full width against the pivot rows, then normalized.
+
+    rows, when given, lists increasing indices of input rows that span
+    the row space and include every row that is independent of the rows
+    before it; the default reads every row.  The result is the same
+    either way.
+
+    Why the rows are the same.  In the row space the entries on the
+    pivot columns determine the vector, and a vector's first nonzero
+    entry is its first nonzero pivot entry, so every leading column, and
+    every (leading column, original index) sort key, is the same on the
+    k columns as on all m.cols.  The schedule does not depend on how the
+    working rows are scaled, so each row written back is a nonzero
+    multiple of the full-width schedule's row, and the normalization
+    returns the same integers.  Every row independent of the rows before
+    it is swept, so the pivots, the rank and the basis are those of all
+    rows; coordinates on a fixed basis are unique, so combinations() are
+    too.
+
+    Writing back a row h: with the columns ordered pivots first,
+    [h | 0 ... 0 | 1] is reduced to zero on its first k entries against
+    the pivot rows so ordered.  Its last entry ends as some S != 0, and
+    the vector of the row space is S*h on the pivot columns and minus
+    the reduced entries elsewhere.  A row the schedule never cancelled
+    is its own input row.  The transformation is not carried through;
+    EchelonResult solves for it, and for combinations(), on the basis
+    when asked.
+    """
+    r, c = m.rows, m.cols
+    pivrows = {}
+    index = range(r) if rows is None else rows
+    basis = [i for i, (p, _) in zip(
+        index, _sweep((m.nums[i] for i in index), c, pivrows)) if p < c]
+    pivots = sorted(pivrows)
+    k = len(pivots)
+    cut = [[row[p] for p in pivots] for row in m.nums]
+    work = _sorted_schedule(cut, k)
+
+    order = pivots + [j for j in range(c) if j not in pivrows]
+    pivrows = {s: [pivrows[p][j] for j in order] + [0]
+               for s, p in enumerate(pivots)}
+    ech = []
+    for s, i, h in work[:k]:
+        if h is cut[i]:
+            # The schedule never cancelled row i: it is its own extension.
+            full = m.nums[i]
+        else:
+            (_, row), = _sweep([h + [0] * (c - k) + [1]], k, pivrows)
+            full = [0] * c
+            for j, x in zip(order, h):
+                full[j] = row[-1] * x
+            for j, x in zip(order[k:], row[k:-1]):
+                full[j] = -x
+        ech.append(_normalized(full, pivots[s]))
+    ech += [[0] * c] * (r - k)
+    return EchelonResult(RatMatrix(ech, [1] * r, cols=c), pivots, k, m, basis)
+
+
+def _sorted_schedule(rows, c):
+    """The (leading column, original index, row) triples of the integer
+    rows after the sorted schedule, in order: nonzero rows first, by
+    leading column, then zero rows (leading column c), by index.
+
+    Repeatedly sort the triples, whose first two entries are unique, so
+    rows are never compared, and cancel the leading coefficient of every
+    row sharing its leading column with its predecessor; repeat to a
+    fixed point.  Each cancellation b*x - a*y is followed by division by
+    the row's content.
+
+    The outcome does not depend on how the working rows are scaled.
     Leading-zero counts, tie-breaking and the cancellation pattern are
     scale-independent, and a cancellation is homogeneous of degree one in
     each of the two rows involved, so every working row stays a nonzero
     multiple of the row any other scaling (monic Fraction rows, say) would
-    hold.  The final normalization erases the leftover factor: each
-    nonzero row becomes integers with content 1 and a positive leading
-    entry.  Zero rows sort last.  The transformation is not carried
-    through the schedule; EchelonResult solves for it from independent
-    input rows when it is asked for.
+    hold.
     """
-    r, c = m.rows, m.cols
-    work = [(_lead(row, 0, c), i, row) for i, row in enumerate(m.nums)]
+    work = [(_lead(row, 0, c), i, row) for i, row in enumerate(rows)]
     changed = True
     while changed:
         work.sort()
         changed = False
-        for i in range(1, r):
+        for i in range(1, len(work)):
             p, orig, row = work[i]
             if p < c and p == work[i - 1][0]:
                 row = _cancel(row, work[i - 1][2], p)
                 work[i] = (_lead(row, p + 1, c), orig, row)
                 changed = True
-
-    pivots, ech = [], []
-    for p, _, row in work:
-        if p < c:
-            pivots.append(p)
-            ech.append(_normalized(row, p))
-        else:
-            ech.append([0] * c)
-    return EchelonResult(RatMatrix(ech, [1] * r, cols=c),
-                         pivots, len(pivots), m)
+    return work
 
 
 def _sweep(rows, c, pivrows):
@@ -236,9 +303,10 @@ def pivot_columns(m):
 
     The pivot column set is algorithm-independent (column j is a pivot
     exactly when it enlarges the rank of the columns to its left), so this
-    agrees with echelon_reduce(m).pivots while staying fast on tall
-    matrices: the sorted schedule re-scans rows every pass, which the
-    sweep avoids.  Use echelon_reduce when the actual rows matter, and
+    agrees with echelon_reduce(m).pivots.  echelon_reduce starts with the
+    same sweep, then runs the sorted schedule, which re-scans every row
+    (cut to the pivot columns) each pass, and writes its rows back at
+    full width.  Use echelon_reduce when the actual rows matter, and
     solve_on_rows to write a vector of the row space on input rows.
     """
     pivrows = {}
@@ -264,11 +332,9 @@ def solve_on_rows(m, pivots, targets):
     combination of the input rows is row t of targets.
 
     A vector of the row space is determined by its entries on the pivot
-    columns, so the work is done there, in two sweeps.  The first picks
-    as basis the rows that open a pivot and stops at the last pivot.  The
-    second triangularizes the basis rows, each carrying its coordinates
-    on the basis; every target, carrying the same and its own scale, is
-    then reduced to zero against them.
+    columns, so the work is done there.  One sweep picks as basis the
+    rows that open a pivot and stops at the last pivot; _coordinates
+    then writes the targets on them.
     """
     k = len(pivots)
     pivrows, basis = {}, []
@@ -278,6 +344,20 @@ def solve_on_rows(m, pivots, targets):
             basis.append(i)
             if len(basis) == k:
                 break
+    return basis, _coordinates(m, pivots, basis, targets)
+
+
+def _coordinates(m, pivots, basis, targets):
+    """For each row of targets, a vector of the row space of m, its m.rows
+    Fractions (zero off basis) whose combination of the input rows is
+    that row.  basis lists len(pivots) input rows, increasing, that span
+    the row space.
+
+    One sweep triangularizes the basis rows on the pivot columns, each
+    carrying its coordinates on the basis; every target, carrying the
+    same and its own scale, is then reduced to zero against them.
+    """
+    k = len(pivots)
     # After the k pivot entries each row carries coordinates on the
     # numerator rows m.nums[basis], then a scale: a target row reads
     # [scale * target + coords . m.nums[basis] | coords | scale].
@@ -300,4 +380,4 @@ def solve_on_rows(m, pivots, targets):
             if row[k + s]:
                 x[i] = Fraction(-row[k + s] * m.dens[i], scale)
         coords.append(x)
-    return basis, coords
+    return coords

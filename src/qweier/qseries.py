@@ -15,6 +15,7 @@ to integers once, and `.coeffs` and `coeff` build Fractions on reading.
 Values are immutable after construction; all operations are pure functions.
 """
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -240,7 +241,12 @@ class QSeries:
         return hash((self.nums, self.den, self.prec))
 
     def qstring(self, max_terms=None):
-        """Human-readable expansion like 'q - 24*q^2 + 252*q^3 + O(q^60)'."""
+        """Human-readable expansion like 'q - 24*q^2 + 252*q^3 + O(q^60)'.
+
+        A shown coefficient with an integer of more digits than str()
+        writes (sys.get_int_max_str_digits(), read and never set) is a
+        DomainError that names the term and the digit count, not the bare
+        ValueError of str()."""
         parts = []
         shown = 0
         for n, c in enumerate(self.coeffs):
@@ -251,11 +257,19 @@ class QSeries:
                 break
             shown += 1
             mag = -c if c < 0 else c
+            try:
+                text = str(mag)
+            except ValueError:
+                raise DomainError(
+                    "coefficient of q^%d: an integer of %d digits is longer "
+                    "than the %d digits str() writes"
+                    % (n, _digits(max(mag.numerator, mag.denominator)),
+                       sys.get_int_max_str_digits())) from None
             if n == 0:
-                body = str(mag)
+                body = text
             else:
                 var = "q" if n == 1 else "q^%d" % n
-                body = var if mag == 1 else "%s*%s" % (mag, var)
+                body = var if mag == 1 else "%s*%s" % (text, var)
             if not parts:
                 parts.append(body if c > 0 else "-" + body)
             else:
@@ -267,6 +281,16 @@ class QSeries:
 
     def __repr__(self):
         return "QSeries(%s)" % self.qstring(max_terms=6)
+
+
+def _digits(x):
+    """The number of decimal digits of the positive int x, without str():
+    1233 / 4096 is just below log10(2), so the first guess is never more
+    than the count."""
+    d = x.bit_length() * 1233 >> 12
+    while 10 ** d <= x:
+        d += 1
+    return d
 
 
 def _require_exact(values):

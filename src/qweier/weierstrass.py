@@ -172,13 +172,13 @@ def monomials(basis, m):
     a chain of QSeries products.
     """
     _checked_precision(basis, m)
-    vecs, matrix = _monomial_matrix(basis, m, basis.prec)
+    vecs, matrix, _ = _monomial_matrix(basis, m, basis.prec)
     return [(vec, QSeries.from_numerators(row, den))
             for vec, row, den in zip(vecs, matrix.nums, matrix.dens)]
 
 
-def _monomial_matrix(basis, m, prec, prune=False):
-    """(vecs, matrix): the degree-(m/2) monomials in the basis forms
+def _monomial_matrix(basis, m, prec, prune=None):
+    """(vecs, matrix, kept): the degree-(m/2) monomials in the basis forms
     modulo q^prec, vecs their exponent vectors in lexicographically
     decreasing order and matrix the RatMatrix whose row i is monomial i,
     the integer product of the numerator rows over den_0^a_0 * ... *
@@ -194,16 +194,19 @@ def _monomial_matrix(basis, m, prec, prune=False):
     cut row; w = bit_length(norm**(m/2)) + 1 bits, rounded up to 1, 2, 4
     or 8 bytes, keeps every digit exact.  Each leaf is unpacked once.
 
-    With prune and m >= 6, the rows keep the span modulo q^prec but not
-    every monomial.  The quadrics, built on the same packed rows (norm**2
-    bounds them too), are swept in the same order modulo the same q^prec,
-    and the walk skips every subtree whose exponent vector contains a
-    dead quadric, one in the span of the quadrics before it.  A relation
-    modulo q^prec times a form of valuation >= 0 is still one, and adding
-    an exponent vector keeps the lexicographic order, so every multiple
-    of a dead quadric lies in the span of the monomials before it; by
-    induction the rows kept span them all.  A quadric dead only modulo a
-    lower power of q proves nothing modulo q^prec.
+    With prune and m >= 6, the quadrics, built on the same packed rows
+    (norm**2 bounds them too), are swept in the same order modulo the
+    same q^prec.  A dead quadric is one in the span of the quadrics
+    before it.  A relation modulo q^prec times a form of valuation >= 0
+    is still one, and adding an exponent vector keeps the lexicographic
+    order, so every multiple of a dead quadric lies in the span of the
+    monomials before it; by induction the rows that no dead quadric
+    divides span them all and include every row independent of the rows
+    before it.  With prune="skip" the walk builds only those rows, and
+    kept is None; with prune="mark" it builds every row, and kept lists
+    the indices, increasing, of those rows.  Without prune, or for m <
+    6, kept is None: no row is known to be dependent.  A quadric dead
+    only modulo a lower power of q proves nothing modulo q^prec.
     """
     d = m // 2
     rows = [f.nums[:prec] for f in basis.series_list()]
@@ -212,25 +215,32 @@ def _monomial_matrix(basis, m, prec, prune=False):
     last = [1]
     for _ in range(d):
         last.append(ring.mul(last[-1], xs[-1]))
-    kills = None
+    dead = []
     if prune and d > 2:
         quadrics = []
         _extend_monomials(ring, xs, last, 0, 2, 1, [0] * len(xs), quadrics)
         # A row's denominator does not change whether it is dependent.
-        dead = dependent_rows(RatMatrix([ring.unpack(x) for _, x in quadrics],
-                                        [1] * len(quadrics), prec))
-        if dead:
-            kills = [0] * len(xs)
-            for k in dead:
-                a, b = [i for i, e in enumerate(quadrics[k][0])
-                        for _ in range(e)]
-                kills[a] |= 1 << b
+        dead = [[i for i, e in enumerate(quadrics[k][0]) for _ in range(e)]
+                for k in dependent_rows(RatMatrix(
+                    [ring.unpack(x) for _, x in quadrics],
+                    [1] * len(quadrics), prec))]
+    kills = None
+    if dead and prune == "skip":
+        kills = [0] * len(xs)
+        for a, b in dead:
+            kills[a] |= 1 << b
     leaves = []
     _extend_monomials(ring, xs, last, 0, d, 1, [0] * len(xs), leaves, kills)
     dens = [f.series.den for f in basis.forms]
     vecs = [vec for vec, _ in leaves]
+    kept = None
+    if dead and prune == "mark":
+        # vec[a] > (a == b) asks for x_a^2 when a == b.
+        kept = [i for i, vec in enumerate(vecs)
+                if not any(vec[a] > (a == b) and vec[b] for a, b in dead)]
     return vecs, RatMatrix([ring.unpack(x) for _, x in leaves],
-                           [prod(map(pow, dens, vec)) for vec in vecs], prec)
+                           [prod(map(pow, dens, vec)) for vec in vecs],
+                           prec), kept
 
 
 class _PackedRows:
@@ -330,7 +340,7 @@ def subspace_dimension(basis, m):
     whole rank.  On series that are not such a basis the rank on need
     columns can fall below the rank on all basis.prec columns.
 
-    The matrix is _monomial_matrix(basis, m, need, prune=True): for m >=
+    The matrix is _monomial_matrix(basis, m, need, prune="skip"): for m >=
     6 no monomial that a dead quadric divides is built or swept, a dead
     quadric being one in the span of the quadrics before it modulo the
     same q^need.  A relation modulo q^need times a form of valuation >= 0
@@ -342,7 +352,7 @@ def subspace_dimension(basis, m):
     """
     need = _checked_precision(basis, m)
     return len(pivot_columns(
-        _monomial_matrix(basis, m, need, prune=True)[1]))
+        _monomial_matrix(basis, m, need, prune="skip")[1]))
 
 
 def check_inputs(basis, m, sig):
@@ -370,12 +380,15 @@ def weierstrass_test(basis, m, sig, hyperelliptic_status=NOT_HYPERELLIPTIC):
     Pass surface.HYPERELLIPTIC to get, instead, HyperellipticUnsupported
     for m >= 6 (the span is provably proper) or a SPAN_NOT_GUARANTEED
     report at m = 4.  The matrix is _monomial_matrix(basis, m,
-    basis.prec): reading all stored columns lets rank > t expose a basis
-    that is not one of the weight-2 cusp forms.
+    basis.prec, prune="mark"): reading all stored columns lets rank > t
+    expose a basis that is not one of the weight-2 cusp forms.  Its rows
+    that no dead quadric divides span it and include every row
+    independent of the rows before it, so echelon_reduce sweeps only
+    those at full width.
     """
     check_inputs(basis, m, sig)
-    vecs, matrix = _monomial_matrix(basis, m, basis.prec)
-    result = echelon_reduce(matrix)
+    vecs, matrix, kept = _monomial_matrix(basis, m, basis.prec, prune="mark")
+    result = echelon_reduce(matrix, rows=kept)
     t = dim_s_h(sig, m)
     rank = result.rank
     if rank > t:

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -144,6 +145,101 @@ def test_pivot_set_invariant_under_row_permutation(m, rng):
     rng.shuffle(perm)
     shuffled = rat_matrix([m.entries[i] for i in perm], m.cols)
     assert echelon_reduce(shuffled).pivots == echelon_reduce(m).pivots
+
+
+def _reference_echelon(nums, c):
+    """(rows, pivots): the sorted schedule run on every integer row at all
+    c columns, each nonzero row then divided by its content and made
+    positive at its leading entry, zero rows last.  echelon_reduce must
+    return these rows whichever way it finds them."""
+    def lead(row):
+        return next((j for j in range(c) if row[j]), c)
+
+    work = [(lead(row), i, list(row)) for i, row in enumerate(nums)]
+    changed = True
+    while changed:
+        work.sort()
+        changed = False
+        for i in range(1, len(work)):
+            p, orig, x = work[i]
+            if p < c and p == work[i - 1][0]:
+                y = work[i - 1][2]
+                g = gcd(x[p], y[p])
+                row = [y[p] // g * u - x[p] // g * v for u, v in zip(x, y)]
+                g = gcd(*row)
+                row = [u // g for u in row] if g > 1 else row
+                work[i] = (lead(row), orig, row)
+                changed = True
+    rows, pivots = [], []
+    for p, _, row in work:
+        if p < c:
+            g = gcd(*row) if row[p] > 0 else -gcd(*row)
+            row = [u // g for u in row]
+            pivots.append(p)
+        rows.append(row)
+    return rows, pivots
+
+
+@st.composite
+def schedule_inputs(draw):
+    """Integer rows over denominators for the schedule oracle: up to 12
+    rows in up to 9 columns, drawn from at most 4 base rows as scaled
+    copies, integer combinations and zero rows, with some columns zero
+    throughout.  Tall ones repeat and combine rows; wide ones have
+    columns past the last pivot."""
+    c = draw(st.integers(min_value=1, max_value=9))
+    zero = draw(st.sets(st.integers(min_value=0, max_value=c - 1),
+                        max_size=c // 2))
+    entry = st.integers(min_value=-4, max_value=4)
+    base = [[0 if j in zero else x for j, x in enumerate(row)]
+            for row in draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                                     max_size=4))]
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        kind = draw(st.sampled_from(("copy", "copy", "mix", "zero")))
+        if kind == "zero" or not base:
+            rows.append([0] * c)
+        elif kind == "copy":
+            a = draw(st.sampled_from([1, 1, -1, 2, -3]))
+            rows.append([a * x for x in draw(st.sampled_from(base))])
+        else:
+            coeffs = draw(st.lists(entry, min_size=len(base),
+                                   max_size=len(base)))
+            rows.append([sum(a * row[j] for a, row in zip(coeffs, base))
+                         for j in range(c)])
+    dens = draw(st.lists(st.sampled_from([1, 2, -3, 6]), min_size=len(rows),
+                         max_size=len(rows)))
+    return RatMatrix(rows, dens, c)
+
+
+@given(schedule_inputs(), st.data())
+@settings(max_examples=300)
+def test_echelon_reduce_returns_the_full_width_schedule(m, data):
+    rows, pivots = _reference_echelon(m.nums, m.cols)
+    k = len(pivots)
+    # The rows that lie in the span of the rows before them.
+    dependent = [i for i in range(m.rows)
+                 if len(_reference_echelon(m.nums[:i + 1], m.cols)[1])
+                 == len(_reference_echelon(m.nums[:i], m.cols)[1])]
+    dropped = data.draw(st.sets(st.sampled_from(dependent))
+                        if dependent else st.just(set()))
+    _, combos = solve_on_rows(m, pivots, RatMatrix(rows[:k], [1] * k, m.cols))
+    for subset in (None,
+                   [i for i in range(m.rows) if i not in dependent],
+                   [i for i in range(m.rows) if i not in dropped]):
+        r = echelon_reduce(m, rows=subset)
+        assert [list(row) for row in r.echelon.nums] == rows, subset
+        assert r.echelon.dens == (1,) * m.rows
+        assert (r.pivots, r.rank) == (pivots, k), subset
+        assert r.combinations() == [tuple(x) for x in combos], subset
+
+
+def test_the_row_subset_is_keyword_only():
+    # A second positional argument once meant "carry the transform".
+    m = identity_matrix(2)
+    with pytest.raises(TypeError):
+        echelon_reduce(m, None)
+    assert echelon_reduce(m, rows=[0, 1]).pivots == [0, 1]
 
 
 @st.composite

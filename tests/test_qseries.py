@@ -1,3 +1,4 @@
+import sys
 from decimal import Decimal
 from fractions import Fraction as F
 from math import gcd
@@ -254,6 +255,28 @@ def test_negative_precision_is_a_domain_error(op):
 def test_coeff_out_of_window():
     with pytest.raises(PrecisionError):
         qs(1, 2, prec=2).coeff(2)
+
+
+LONG = 7 * 10 ** 4999 + 1
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.skipif(not 0 < DIGIT_LIMIT < 5000,
+                    reason="str() writes 5000-digit integers here")
+@pytest.mark.parametrize("coeffs, term, before", [
+    ([0, 1, -LONG, 3], 2, "q ... + O(q^4)"),
+    ([0, 0, 5, F(1, LONG)], 3, "5*q^2 ... + O(q^4)"),
+], ids=["numerator", "denominator"])
+def test_qstring_past_the_digit_limit_is_a_domain_error(coeffs, term, before):
+    s = QSeries(coeffs, 4)
+    with pytest.raises(DomainError) as info:
+        s.qstring()
+    assert str(info.value) == (
+        "coefficient of q^%d: an integer of 5000 digits is longer than the "
+        "%d digits str() writes" % (term, DIGIT_LIMIT))
+    # Only the terms shown are written.
+    assert s.qstring(max_terms=1) == before
+    assert sys.get_int_max_str_digits() == DIGIT_LIMIT
 
 
 # -- ring laws (property tests) ----------------------------------------------

@@ -7,6 +7,7 @@ from math import comb, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qweier.exactlinalg
 import qweier.weierstrass
 from conftest import FIXTURE_LEVELS, load_fixture, random_basis_change
 from qweier.errors import (
@@ -16,7 +17,7 @@ from qweier.errors import (
     RankDeficit,
     ValidationError,
 )
-from qweier.exactlinalg import pivot_columns
+from qweier.exactlinalg import RatMatrix, dependent_rows, pivot_columns
 from qweier.qseries import QSeries, coefficient_matrix
 from qweier.surface import (
     HYPERELLIPTIC,
@@ -335,6 +336,69 @@ def test_subspace_dimension_is_the_rank_of_every_monomial(case):
     need = required_precision(basis.genus, m)
     full = _monomial_matrix(basis, m, need)[1]
     assert subspace_dimension(basis, m) == len(pivot_columns(full))
+
+
+@settings(max_examples=80, deadline=None)
+@given(series_lists())
+def test_kept_monomials_span_and_keep_every_independent_row(case):
+    # weierstrass_test sweeps only the kept rows at full width, which is
+    # exact when they span the row space and include every row that is
+    # independent of the rows before it.  They are the rows that
+    # prune="skip" builds.
+    basis, m = case
+    vecs, matrix, kept = _monomial_matrix(basis, m, basis.prec, prune="mark")
+    if kept is None:
+        kept = range(matrix.rows)
+    sub = RatMatrix([matrix.nums[i] for i in kept],
+                    [matrix.dens[i] for i in kept], matrix.cols)
+    assert len(pivot_columns(sub)) == len(pivot_columns(matrix))
+    assert set(range(matrix.rows)) - set(dependent_rows(matrix)) <= set(kept)
+    assert [vecs[i] for i in kept] \
+        == _monomial_matrix(basis, m, basis.prec, prune="skip")[0]
+
+
+def test_weierstrass_test_sweeps_kept_rows_and_schedules_pivot_columns(
+        monkeypatch):
+    # At (60, 8) the monomial matrix is 210 x 80 of rank 42.  The full-width
+    # sweeps read the 28 quadrics, then the 59 monomials no dead quadric
+    # divides; the sorted schedule reads all 210 rows cut to the 42 pivot
+    # columns, so every row it cancels has 42 entries.
+    linalg = qweier.exactlinalg
+    sweeps, scheduled, cancelled, inside = [], [], [], []
+    real_sweep, real_schedule, real_cancel = (
+        linalg._sweep, linalg._sorted_schedule, linalg._cancel)
+
+    def sweep(rows, c, pivrows):
+        read = []
+        sweeps.append((c, read))
+
+        def counted():
+            for row in rows:
+                read.append(len(row))
+                yield row
+        return real_sweep(counted(), c, pivrows)
+
+    def schedule(rows, c):
+        scheduled.append((len(rows), c, {len(row) for row in rows}))
+        inside.append(True)
+        try:
+            return real_schedule(rows, c)
+        finally:
+            inside.pop()
+
+    def cancel(x, y, p):
+        if inside:
+            cancelled.append(len(x))
+        return real_cancel(x, y, p)
+    monkeypatch.setattr(linalg, "_sweep", sweep)
+    monkeypatch.setattr(linalg, "_sorted_schedule", schedule)
+    monkeypatch.setattr(linalg, "_cancel", cancel)
+    report = run_fixture(60, 8)
+    assert report.rank == 42 and len(report.monomial_exponents) == 210
+    assert [(len(read), set(read)) for c, read in sweeps if c == 80] \
+        == [(28, {80}), (59, {80})]
+    assert scheduled == [(210, 42, {42})]
+    assert cancelled and set(cancelled) == {42}
 
 
 @pytest.mark.parametrize("level,m,budget", [
