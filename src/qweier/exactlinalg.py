@@ -60,23 +60,19 @@ class RatMatrix:
 
 
 class EchelonResult:
-    """Echelon form of a matrix, its pivots and rank, and on demand the
-    transformation that produced it.
+    """Echelon form of a matrix, its pivots and rank.
 
     pivots are the leading-entry columns of the nonzero echelon rows,
     strictly increasing; rank = number of nonzero rows, which come first.
     combinations() writes each nonzero echelon row as a combination of
     the basis: the `rank` input rows independent of the rows before them,
-    which echelon_reduce's sweep picked.  transform is an invertible r x r
-    matrix with transform * input = echelon exactly, derived on first
-    read: its first `rank` rows are those combinations, and each later
-    row is an exact relation among the inputs, e_j - (row j written on
-    the basis) for an input row j outside it, in increasing j, as
-    integers with content 1 and a positive leading entry.
+    which echelon_reduce's sweep picked.
     """
 
-    __slots__ = ("echelon", "pivots", "rank", "_source", "_basis",
-                 "_transform")
+    __slots__ = ("echelon", "pivots", "rank", "_source", "_basis")
+
+    # No transformation matrix is built; bench/tracing.py still reads this.
+    transform = None
 
     def __init__(self, echelon, pivots, rank, source, basis):
         self.echelon = echelon
@@ -84,7 +80,6 @@ class EchelonResult:
         self.rank = rank
         self._source = source
         self._basis = basis
-        self._transform = None
 
     def combinations(self):
         """For each nonzero echelon row, a tuple of input-row coefficients
@@ -96,33 +91,6 @@ class EchelonResult:
         rows = RatMatrix(self.echelon.nums[:k], [1] * k, self.echelon.cols)
         return [tuple(x) for x in _coordinates(
             self._source, self.pivots, self._basis, rows)]
-
-    @property
-    def transform(self):
-        if self._transform is None:
-            self._transform = self._derive_transform()
-        return self._transform
-
-    def _derive_transform(self):
-        m, k = self._source, self.rank
-        rows = RatMatrix(
-            self.echelon.nums[:k] + m.nums, [1] * k + list(m.dens), m.cols)
-        basis = self._basis
-        coords = _coordinates(m, self.pivots, basis, rows)
-        nums, dens = [], []
-        for x in coords[:k]:
-            ints, den = _integer_row(x)
-            nums.append(ints)
-            dens.append(den)
-        for j, x in enumerate(coords[k:]):
-            if j not in basis:
-                # x writes input row j on the basis: e_j - x is a relation.
-                x = [-v for v in x]
-                x[j] = 1
-                ints, _ = _integer_row(x)
-                nums.append(_normalized(ints, _lead(ints, 0, m.rows)))
-                dens.append(1)
-        return RatMatrix(nums, dens, cols=m.rows)
 
 
 def _integer_row(values):
@@ -214,9 +182,8 @@ def echelon_reduce(m, *, rows=None):
     the pivot rows so ordered.  Its last entry ends as some S != 0, and
     the vector of the row space is S*h on the pivot columns and minus
     the reduced entries elsewhere.  A row the schedule never cancelled
-    is its own input row.  The transformation is not carried through;
-    EchelonResult solves for it, and for combinations(), on the basis
-    when asked.
+    is its own input row.  No row operations are recorded;
+    combinations() solves on the basis when asked.
     """
     r, c = m.rows, m.cols
     pivrows = {}

@@ -177,7 +177,7 @@ def monomials(basis, m):
             for vec, row, den in zip(vecs, matrix.nums, matrix.dens)]
 
 
-def _monomial_matrix(basis, m, prec, prune=None):
+def _monomial_matrix(basis, m, prec, skip=False):
     """(vecs, matrix, kept): the degree-(m/2) monomials in the basis forms
     modulo q^prec, vecs their exponent vectors in lexicographically
     decreasing order and matrix the RatMatrix whose row i is monomial i,
@@ -194,19 +194,19 @@ def _monomial_matrix(basis, m, prec, prune=None):
     cut row; w = bit_length(norm**(m/2)) + 1 bits, rounded up to 1, 2, 4
     or 8 bytes, keeps every digit exact.  Each leaf is unpacked once.
 
-    With prune and m >= 6, the quadrics, built on the same packed rows
-    (norm**2 bounds them too), are swept in the same order modulo the
-    same q^prec.  A dead quadric is one in the span of the quadrics
-    before it.  A relation modulo q^prec times a form of valuation >= 0
-    is still one, and adding an exponent vector keeps the lexicographic
-    order, so every multiple of a dead quadric lies in the span of the
-    monomials before it; by induction the rows that no dead quadric
-    divides span them all and include every row independent of the rows
-    before it.  With prune="skip" the walk builds only those rows, and
-    kept is None; with prune="mark" it builds every row, and kept lists
-    the indices, increasing, of those rows.  Without prune, or for m <
-    6, kept is None: no row is known to be dependent.  A quadric dead
-    only modulo a lower power of q proves nothing modulo q^prec.
+    For m >= 6 the quadrics, built on the same packed rows (norm**2
+    bounds them too), are swept in the same order modulo the same
+    q^prec.  A dead quadric is one in the span of the quadrics before it.
+    A relation modulo q^prec times a form of valuation >= 0 is still
+    one, and adding an exponent vector keeps the lexicographic order, so
+    every multiple of a dead quadric lies in the span of the monomials
+    before it; by induction the rows that no dead quadric divides span
+    them all and include every row independent of the rows before it.
+    kept lists the indices, increasing, of the built rows that no dead
+    quadric divides: every row when m <= 4 or no quadric dies.  With
+    skip the walk builds only those rows, so kept lists every row and
+    vecs holds only their vectors.  A quadric dead only modulo a lower
+    power of q proves nothing modulo q^prec.
     """
     d = m // 2
     rows = [f.nums[:prec] for f in basis.series_list()]
@@ -216,7 +216,7 @@ def _monomial_matrix(basis, m, prec, prune=None):
     for _ in range(d):
         last.append(ring.mul(last[-1], xs[-1]))
     dead = []
-    if prune and d > 2:
+    if d > 2:
         quadrics = []
         _extend_monomials(ring, xs, last, 0, 2, 1, [0] * len(xs), quadrics)
         # A row's denominator does not change whether it is dependent.
@@ -225,7 +225,7 @@ def _monomial_matrix(basis, m, prec, prune=None):
                     [ring.unpack(x) for _, x in quadrics],
                     [1] * len(quadrics), prec))]
     kills = None
-    if dead and prune == "skip":
+    if dead and skip:
         kills = [0] * len(xs)
         for a, b in dead:
             kills[a] |= 1 << b
@@ -233,11 +233,12 @@ def _monomial_matrix(basis, m, prec, prune=None):
     _extend_monomials(ring, xs, last, 0, d, 1, [0] * len(xs), leaves, kills)
     dens = [f.series.den for f in basis.forms]
     vecs = [vec for vec, _ in leaves]
-    kept = None
-    if dead and prune == "mark":
+    if dead and not skip:
         # vec[a] > (a == b) asks for x_a^2 when a == b.
         kept = [i for i, vec in enumerate(vecs)
                 if not any(vec[a] > (a == b) and vec[b] for a, b in dead)]
+    else:
+        kept = list(range(len(vecs)))
     return vecs, RatMatrix([ring.unpack(x) for _, x in leaves],
                            [prod(map(pow, dens, vec)) for vec in vecs],
                            prec), kept
@@ -340,7 +341,7 @@ def subspace_dimension(basis, m):
     whole rank.  On series that are not such a basis the rank on need
     columns can fall below the rank on all basis.prec columns.
 
-    The matrix is _monomial_matrix(basis, m, need, prune="skip"): for m >=
+    The matrix is _monomial_matrix(basis, m, need, skip=True): for m >=
     6 no monomial that a dead quadric divides is built or swept, a dead
     quadric being one in the span of the quadrics before it modulo the
     same q^need.  A relation modulo q^need times a form of valuation >= 0
@@ -352,7 +353,7 @@ def subspace_dimension(basis, m):
     """
     need = _checked_precision(basis, m)
     return len(pivot_columns(
-        _monomial_matrix(basis, m, need, prune="skip")[1]))
+        _monomial_matrix(basis, m, need, skip=True)[1]))
 
 
 def check_inputs(basis, m, sig):
@@ -380,14 +381,14 @@ def weierstrass_test(basis, m, sig, hyperelliptic_status=NOT_HYPERELLIPTIC):
     Pass surface.HYPERELLIPTIC to get, instead, HyperellipticUnsupported
     for m >= 6 (the span is provably proper) or a SPAN_NOT_GUARANTEED
     report at m = 4.  The matrix is _monomial_matrix(basis, m,
-    basis.prec, prune="mark"): reading all stored columns lets rank > t
-    expose a basis that is not one of the weight-2 cusp forms.  Its rows
-    that no dead quadric divides span it and include every row
-    independent of the rows before it, so echelon_reduce sweeps only
-    those at full width.
+    basis.prec), every monomial built: reading all stored columns lets
+    rank > t expose a basis that is not one of the weight-2 cusp forms.
+    Its kept rows, those no dead quadric divides, span it and include
+    every row independent of the rows before it, so echelon_reduce sweeps
+    only those at full width, and its sorted schedule reads every row.
     """
     check_inputs(basis, m, sig)
-    vecs, matrix, kept = _monomial_matrix(basis, m, basis.prec, prune="mark")
+    vecs, matrix, kept = _monomial_matrix(basis, m, basis.prec)
     result = echelon_reduce(matrix, rows=kept)
     t = dim_s_h(sig, m)
     rank = result.rank

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import matrix_product, rat_matrix
+from conftest import rat_matrix
 from qweier.errors import DomainError, ShapeError
 from qweier.exactlinalg import (
     RatMatrix,
@@ -90,9 +90,6 @@ def test_proportional_rows_leave_a_relation():
     r = echelon_reduce(rat_matrix([[1, 2], [2, 4]], 2))
     assert r.rank == 1
     assert r.echelon.entries[1] == (F(0), F(0))
-    relation = r.transform.entries[1]
-    # (-2, 1) up to sign and content
-    assert relation in ((F(-2), F(1)), (F(2), F(-1)))
 
 
 def test_empty_matrix():
@@ -110,15 +107,6 @@ def test_leading_entries_positive():
     r = echelon_reduce(rat_matrix([[-3, 6], [0, -7]], 2))
     assert r.echelon.entries[0][0] > 0
     assert r.echelon.entries[1][1] > 0
-
-
-@given(small_matrices())
-@settings(max_examples=120)
-def test_transform_times_input_is_echelon(m):
-    r = echelon_reduce(m)
-    assert (r.transform.rows, r.transform.cols) == (m.rows, m.rows)
-    assert matrix_product(r.transform, m) == r.echelon.entries
-    assert len(pivot_columns(r.transform)) == m.rows
 
 
 @given(small_matrices())
