@@ -8,7 +8,6 @@ from .weierstrass import (
     CuspBasis,
     ModularFormRecord,
     WeierstrassReport,
-    monomials,
     required_precision,
     subspace_dimension,
     weierstrass_test,

@@ -6,13 +6,14 @@ solve_on_rows returns.  Two primitive integer rows are combined by
 cross-multiplication (b*x - a*y, with a and b the two entries to cancel
 over their gcd) and the result is divided by its content: the
 fraction-free elimination of Bareiss (1968).  Two schedules use it.
-One sweep over the rows finds pivot columns (pivot_columns), the rows
-that depend on the rows before them (dependent_rows), and the
-independent input rows on which the one solve, solve_on_rows, writes
-row-space vectors.  The sorted schedule fixes the echelon rows:
-echelon_reduce runs it on the pivot columns that one full-width sweep
-finds, and writes its rows back at full width against that sweep's
-pivot rows.  Determinants of series matrices live in wronskian.
+One sweep over the rows finds pivot columns (pivot_columns) and the
+rows that depend on the rows before them (dependent_rows); the one
+solve, solve_on_rows, sweeps the basis rows its caller names and
+writes row-space vectors on them.  The sorted schedule fixes the
+echelon rows: echelon_reduce runs it on the pivot columns that one
+full-width sweep finds, and writes its rows back at full width against
+that sweep's pivot rows.  Determinants of series matrices live in
+wronskian.
 """
 
 from fractions import Fraction
@@ -65,8 +66,8 @@ class EchelonResult:
     pivots are the leading-entry columns of the nonzero echelon rows,
     strictly increasing; rank = number of nonzero rows, which come first.
     combinations() writes each nonzero echelon row as a combination of
-    the basis: the `rank` input rows independent of the rows before them,
-    which echelon_reduce's sweep picked.
+    the basis, by solve_on_rows: the `rank` input rows independent of the
+    rows before them, which echelon_reduce's sweep picked.
     """
 
     __slots__ = ("echelon", "pivots", "rank", "_source", "_basis")
@@ -89,7 +90,7 @@ class EchelonResult:
         rows."""
         k = self.rank
         rows = RatMatrix(self.echelon.nums[:k], [1] * k, self.echelon.cols)
-        return [tuple(x) for x in _coordinates(
+        return [tuple(x) for x in solve_on_rows(
             self._source, self.pivots, self._basis, rows)]
 
 
@@ -274,7 +275,8 @@ def pivot_columns(m):
     same sweep, then runs the sorted schedule, which re-scans every row
     (cut to the pivot columns) each pass, and writes its rows back at
     full width.  Use echelon_reduce when the actual rows matter, and
-    solve_on_rows to write a vector of the row space on input rows.
+    solve_on_rows to write a vector of the row space on a basis of input
+    rows.
     """
     pivrows = {}
     for _ in _sweep(m.nums, m.cols, pivrows):
@@ -289,42 +291,27 @@ def dependent_rows(m):
             if p == m.cols]
 
 
-def solve_on_rows(m, pivots, targets):
-    """Write vectors of the row space of m on independent input rows.
+def solve_on_rows(m, pivots, basis, targets):
+    """Write vectors of the row space of m on the input rows basis.
 
-    pivots are the pivot columns of m, and targets is a RatMatrix whose
-    rows lie in the row space of m.  Returns (basis, coords): basis holds
-    the indices, increasing, of len(pivots) input rows that span the row
-    space, and coords[t] holds m.rows Fractions, zero off basis, whose
-    combination of the input rows is row t of targets.
+    pivots are the pivot columns of m, basis lists the indices of
+    len(pivots) input rows that span the row space, and targets is a
+    RatMatrix whose rows lie in the row space of m.  Returns coords:
+    coords[t] holds m.rows Fractions, zero off basis, whose combination
+    of the input rows is row t of targets.  A basis of another length
+    raises ShapeError, and one with a row in the span of the basis rows
+    before it DomainError.
 
     A vector of the row space is determined by its entries on the pivot
-    columns, so the work is done there.  One sweep picks as basis the
-    rows that open a pivot and stops at the last pivot; _coordinates
-    then writes the targets on them.
+    columns, so the work is done there.  One sweep triangularizes the
+    basis rows on the pivot columns, each carrying its coordinates on
+    the basis; every target, carrying the same and its own scale, is
+    then reduced to zero against them.
     """
     k = len(pivots)
-    pivrows, basis = {}, []
-    sub = ([row[p] for p in pivots] for row in m.nums)
-    for i, (p, _) in enumerate(_sweep(sub, k, pivrows)):
-        if p < k:
-            basis.append(i)
-            if len(basis) == k:
-                break
-    return basis, _coordinates(m, pivots, basis, targets)
-
-
-def _coordinates(m, pivots, basis, targets):
-    """For each row of targets, a vector of the row space of m, its m.rows
-    Fractions (zero off basis) whose combination of the input rows is
-    that row.  basis lists len(pivots) input rows, increasing, that span
-    the row space.
-
-    One sweep triangularizes the basis rows on the pivot columns, each
-    carrying its coordinates on the basis; every target, carrying the
-    same and its own scale, is then reduced to zero against them.
-    """
-    k = len(pivots)
+    if len(basis) != k:
+        raise ShapeError("a basis of %d rows for %d pivot columns"
+                         % (len(basis), k))
     # After the k pivot entries each row carries coordinates on the
     # numerator rows m.nums[basis], then a scale: a target row reads
     # [scale * target + coords . m.nums[basis] | coords | scale].
@@ -334,8 +321,10 @@ def _coordinates(m, pivots, basis, targets):
         row = [m.nums[i][p] for p in pivots] + [0] * (k + 1)
         row[k + s] = 1
         carried.append(row)
-    for _ in _sweep(carried, k, pivrows):
-        pass
+    for i, (p, _) in zip(basis, _sweep(carried, k, pivrows)):
+        if p == k:
+            raise DomainError("basis row %d lies in the span of the basis "
+                              "rows before it" % i)
     zero = Fraction(0)
     coords = []
     for (_, row), den in zip(_sweep(([b[p] for p in pivots] + [0] * k + [1]

@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DependentInput, DomainError, NotInSpace, PrecisionError
-from .exactlinalg import pivot_columns, solve_on_rows
+from .exactlinalg import dependent_rows, pivot_columns, solve_on_rows
 from .qseries import QSeries, coefficient_matrix
 from .surface import _divisors
 
@@ -117,29 +117,25 @@ def monomial_ladder(m, prec):
     basis = m_basis(m)
     e4 = eisenstein_e4(prec)
     e6 = eisenstein_e6(prec)
-    left = power_ladder(e4 ** basis[-1].alpha, e4 ** 3, len(basis))
-    right = power_ladder(e6 ** basis[0].beta, e6 ** 2, len(basis))
+    left, right = [e4 ** basis[-1].alpha], [e6 ** basis[0].beta]
+    e4_cubed, e6_squared = e4 ** 3, e6 ** 2
+    for _ in basis[1:]:
+        left.append(left[-1] * e4_cubed)
+        right.append(right[-1] * e6_squared)
     return [x * y for x, y in zip(reversed(left), right)]
-
-
-def power_ladder(first, step, n):
-    """[first * step^j for j in range(n)] by repeated products."""
-    out = [first]
-    for _ in range(n - 1):
-        out.append(out[-1] * step)
-    return out
 
 
 def express_in_monomials(f, weight):
     """Write the series f, as a form of weight m = weight, as a rational
     combination of the monomials E4^a E6^b, 4a + 6b = m.
 
-    Every stored coefficient takes part.  The matrix with the monomials
-    and then f as rows has rank d + 1 when f is outside the span at this
-    precision (NotInSpace).  Otherwise, when the monomials are independent
-    (DependentInput if not), solve_on_rows writes f on them.  Returns the
-    list of (MonomialExponent, coefficient) pairs with nonzero
-    coefficient, in m_basis order.
+    Every stored coefficient takes part.  In the matrix with the d
+    monomials and then f as rows, no row depends on the rows before it
+    when f is outside the span at this precision (NotInSpace), and only
+    row d does exactly when the monomials are independent (DependentInput
+    if not) and f lies in their span.  solve_on_rows then writes f on the
+    monomials.  Returns the list of (MonomialExponent, coefficient) pairs
+    with nonzero coefficient, in m_basis order.
     """
     basis = m_basis(weight)
     d = len(basis)
@@ -151,18 +147,18 @@ def express_in_monomials(f, weight):
         )
     rows = monomial_ladder(weight, prec) + [f]
     matrix = coefficient_matrix(rows, prec)
-    pivots = pivot_columns(matrix)
-    if len(pivots) > d:
+    dependent = dependent_rows(matrix)
+    if not dependent:
         raise NotInSpace(
             "not a weight-%d form of the full group at precision %d"
             % (weight, prec)
         )
-    independent, (coeffs,) = solve_on_rows(
-        matrix, pivots, coefficient_matrix([f], prec))
-    if independent != list(range(d)):
+    if dependent != [d]:
         raise DependentInput(
             "the weight-%d monomials are linearly dependent modulo q^%d: "
             "either truly dependent or the precision is too low"
             % (weight, prec)
         )
+    (coeffs,) = solve_on_rows(matrix, pivot_columns(matrix), range(d),
+                              coefficient_matrix([f], prec))
     return [(basis[j], coeffs[j]) for j in range(d) if coeffs[j] != 0]

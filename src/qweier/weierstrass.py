@@ -161,22 +161,6 @@ def _checked_precision(basis, m):
     return need
 
 
-def monomials(basis, m):
-    """All degree-(m/2) monomials in the basis forms, in lexicographically
-    decreasing exponent order, as (exponent vector, series) pairs.
-
-    For m = 2 the list is the basis itself.  Each product is truncated to
-    the common basis precision: row i of _monomial_matrix(basis, m,
-    basis.prec) over its denominator, put in lowest terms by
-    QSeries.from_numerators.  The result is the same (nums, den, prec) as
-    a chain of QSeries products.
-    """
-    _checked_precision(basis, m)
-    vecs, matrix, _ = _monomial_matrix(basis, m, basis.prec)
-    return [(vec, QSeries.from_numerators(row, den))
-            for vec, row, den in zip(vecs, matrix.nums, matrix.dens)]
-
-
 def _monomial_matrix(basis, m, prec, skip=False):
     """(vecs, matrix, kept): the degree-(m/2) monomials in the basis forms
     modulo q^prec, vecs their exponent vectors in lexicographically

@@ -1,5 +1,6 @@
 """Shared helpers: bundled fixture bases, golden files, random basis changes,
-and Fraction matrices with their product."""
+the monomials of a basis as series, and Fraction matrices with their
+product."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -8,7 +9,7 @@ from pathlib import Path
 from qweier.exactlinalg import RatMatrix, _integer_row
 from qweier.ingest import load_basis
 from qweier.qseries import QSeries
-from qweier.weierstrass import CuspBasis
+from qweier.weierstrass import CuspBasis, _monomial_matrix
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
@@ -47,6 +48,16 @@ def random_basis_change(basis, rng):
                 acc = acc + s.scaled(c)
         new.append(acc)
     return CuspBasis.from_series(basis.level_label, new)
+
+
+def monomials(basis, m):
+    """All degree-(m/2) monomials in the basis forms, in lexicographically
+    decreasing exponent order, as (exponent vector, series) pairs: row i
+    of _monomial_matrix(basis, m, basis.prec) in lowest terms, the same
+    (nums, den, prec) as a chain of QSeries products."""
+    vecs, matrix, _ = _monomial_matrix(basis, m, basis.prec)
+    return [(vec, QSeries.from_numerators(row, den))
+            for vec, row, den in zip(vecs, matrix.nums, matrix.dens)]
 
 
 def rat_matrix(rows, cols):

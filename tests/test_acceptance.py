@@ -18,6 +18,7 @@ from conftest import (
     FIXTURE_LEVELS,
     load_fixture,
     matrix_product,
+    monomials,
     random_basis_change,
     rat_matrix,
 )
@@ -44,7 +45,6 @@ from qweier.surface import (
 )
 from qweier.weierstrass import (
     _monomial_matrix,
-    monomials,
     subspace_dimension,
     weierstrass_test,
     wronskian_criterion,

@@ -31,13 +31,13 @@ def test_a_traced_run_solves_as_often_as_an_untraced_one(monkeypatch):
     from tracing import Tracer
 
     calls = []
-    solve = qweier.exactlinalg._coordinates
+    solve = qweier.exactlinalg.solve_on_rows
 
     def spy(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(qweier.exactlinalg, "_coordinates", spy)
+    monkeypatch.setattr(qweier.exactlinalg, "solve_on_rows", spy)
     basis, inv = load_fixture(55), gamma0_invariants(55)
 
     def run():

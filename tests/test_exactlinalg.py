@@ -8,6 +8,7 @@ from conftest import rat_matrix
 from qweier.errors import DomainError, ShapeError
 from qweier.exactlinalg import (
     RatMatrix,
+    dependent_rows,
     echelon_reduce,
     pivot_columns,
     solve_on_rows,
@@ -211,7 +212,9 @@ def test_echelon_reduce_returns_the_full_width_schedule(m, data):
                  == len(_reference_echelon(m.nums[:i], m.cols)[1])]
     dropped = data.draw(st.sets(st.sampled_from(dependent))
                         if dependent else st.just(set()))
-    _, combos = solve_on_rows(m, pivots, RatMatrix(rows[:k], [1] * k, m.cols))
+    basis = [i for i in range(m.rows) if i not in dependent]
+    combos = solve_on_rows(m, pivots, basis,
+                           RatMatrix(rows[:k], [1] * k, m.cols))
     for subset in (None,
                    [i for i in range(m.rows) if i not in dependent],
                    [i for i in range(m.rows) if i not in dropped]):
@@ -270,7 +273,9 @@ def test_solve_writes_row_space_vectors_on_independent_rows(m, mix):
              for j in range(m.cols)]
     targets = rat_matrix(list(r.echelon.entries[:r.rank]) + [extra]
                          + list(m.entries), m.cols)
-    basis, coords = solve_on_rows(m, r.pivots, targets)
+    dependent = dependent_rows(m)
+    basis = [i for i in range(m.rows) if i not in dependent]
+    coords = solve_on_rows(m, r.pivots, basis, targets)
     assert len(basis) == r.rank
     independent = rat_matrix([m.entries[i] for i in basis], m.cols)
     assert len(pivot_columns(independent)) == r.rank
@@ -280,6 +285,22 @@ def test_solve_writes_row_space_vectors_on_independent_rows(m, mix):
         assert all(x[i] == 0 for i in range(m.rows) if i not in basis)
         assert _combine(x, m) == target
     assert r.combinations() == [tuple(x) for x in coords[:r.rank]]
+
+
+def test_solve_refuses_a_basis_that_is_not_one():
+    # Row 2 is row 0 plus row 1, and row 3 is twice row 0: the pivots are
+    # columns 0 and 1, and any two rows but {0, 3} form a basis.
+    m = rat_matrix([[1, 0, 2], [0, 1, 3], [1, 1, 5], [2, 0, 4]], 3)
+    pivots = pivot_columns(m)
+    targets = rat_matrix([[1, 1, 5]], 3)
+    assert solve_on_rows(m, pivots, [1, 3], targets) == [
+        [0, 1, 0, F(1, 2)]]
+    for basis in ([0], [0, 1, 2]):
+        with pytest.raises(ShapeError):
+            solve_on_rows(m, pivots, basis, targets)
+    for basis, row in (([0, 3], 3), ([3, 0], 0), ([2, 2], 2)):
+        with pytest.raises(DomainError, match="basis row %d " % row):
+            solve_on_rows(m, pivots, basis, targets)
 
 
 # -- rank, as the pivot count ------------------------------------------------

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import qweier.exactlinalg
 import qweier.weierstrass
-from conftest import FIXTURE_LEVELS, load_fixture, random_basis_change
+from conftest import (FIXTURE_LEVELS, load_fixture, monomials,
+                      random_basis_change)
 from qweier.errors import (
     DomainError,
     HyperellipticUnsupported,
@@ -31,7 +32,7 @@ from qweier.weierstrass import (
     ModularFormRecord,
     _monomial_matrix,
     _PackedRows,
-    monomials,
+    check_inputs,
     required_precision,
     subspace_dimension,
     weierstrass_test,
@@ -156,15 +157,6 @@ def test_monomial_count_matches_stars_and_bars():
     basis = load_fixture(55)
     for m in (2, 4, 6):
         assert len(monomials(basis, m)) == comb(basis.genus + m // 2 - 1, m // 2)
-
-
-def test_monomials_reject_insufficient_precision():
-    basis = load_fixture(37)
-    short = CuspBasis.from_series(
-        "x", [s.truncated(5) for s in basis.series_list()]
-    )
-    with pytest.raises(PrecisionError):
-        monomials(short, 4)
 
 
 def _product_chain(fs, vec, prec):
@@ -440,7 +432,7 @@ def _cut(basis, prec):
 def test_subspace_dimension_needs_exactly_required_precision(level, m):
     # At these weights a pivot sits on the last required column, so a
     # basis cut to required_precision coefficients still has the full
-    # rank, and one coefficient fewer is refused as monomials() refuses it.
+    # rank, and one coefficient fewer is refused as check_inputs refuses it.
     basis = load_fixture(level)
     need = required_precision(basis.genus, m)
     assert subspace_dimension(_cut(basis, need), m) \
@@ -449,7 +441,7 @@ def test_subspace_dimension_needs_exactly_required_precision(level, m):
     with pytest.raises(PrecisionError) as got:
         subspace_dimension(short, m)
     with pytest.raises(PrecisionError) as want:
-        monomials(short, m)
+        check_inputs(short, m, sig_of(level))
     assert str(got.value) == str(want.value)
 
 
