@@ -21,7 +21,7 @@ import re
 import sys
 from functools import lru_cache
 
-from .errors import PrecisionError, QweierError, RankDeficit, ValidationError
+from .errors import PrecisionError, QweierError, ValidationError
 from .ingest import load_basis, load_series, load_signature
 from .level1 import (
     delta,
@@ -33,7 +33,6 @@ from .level1 import (
 )
 from .qseries import QSeries
 from .surface import (
-    GENUS_LT_2,
     HYPERELLIPTIC,
     NOT_HYPERELLIPTIC,
     SurfaceSignature,
@@ -241,8 +240,7 @@ def _cmd_wronskian(args, out):
 
 def _cmd_weierstrass(args, out):
     basis = load_basis(args.basisfile)
-    genus = len(basis.forms)
-    notes = []
+    status = None
     if args.level is not None:
         inv = gamma0_invariants(args.level)
         named = re.fullmatch(r"Gamma0\((\d+)\)", basis.level_label)
@@ -259,41 +257,15 @@ def _cmd_weierstrass(args, out):
             _hyperelliptic_word(status),
         )
     else:
-        sig = SurfaceSignature(genus, 1)
-        header = "%s: genus %d (from form count)" % (basis.level_label, genus)
-        if genus == 2:
-            status = HYPERELLIPTIC
-            notes.append(
-                "note: no --level given; genus 2, hence a hyperelliptic curve"
-            )
-        else:
-            status = NOT_HYPERELLIPTIC
-            notes.append(
-                "note: no --level given; assuming a non-hyperelliptic curve "
-                "and a one-cusp signature (only the genus enters the test)"
-            )
+        sig = SurfaceSignature(basis.genus, 1)
+        header = "%s: genus %d (from form count)" % (basis.level_label,
+                                                     basis.genus)
     # Input errors leave stdout empty; errors found by the elimination
-    # come after the header and notes, which explain them.
+    # come after the header.
     check_inputs(basis, args.weight, sig)
     _print(out, header)
-    for note in notes:
-        _print(out, note)
-    try:
-        report = weierstrass_test(basis, args.weight, sig,
-                                  hyperelliptic_status=status)
-    except RankDeficit:
-        # Without --level the CLI, not the user, assumed the curve is not
-        # hyperelliptic; past m = 2 a rank deficit may refute that
-        # assumption rather than the basis.
-        if args.level is not None or status != NOT_HYPERELLIPTIC \
-                or args.weight == 2:
-            raise
-        raise RankDeficit(
-            "the degree-%d monomials span less than dim S^H_%d, so the basis "
-            "is defective or the curve is hyperelliptic; with no --level "
-            "given, the curve was assumed not hyperelliptic: pass --level N "
-            "to test it as X_0(N)" % (args.weight // 2, args.weight)
-        ) from None
+    report = weierstrass_test(basis, args.weight, sig,
+                              hyperelliptic_status=status)
     _print(
         out,
         "weight m = %d: %d monomials of degree %d, expected dim %d, rank %d"

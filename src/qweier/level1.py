@@ -20,9 +20,12 @@ MonomialExponent = namedtuple("MonomialExponent", ["alpha", "beta"])
 
 
 def sigma(n, k):
-    """Sum of the k-th powers of the positive divisors of n."""
+    """Sum of the k-th powers of the positive divisors of n, an integer:
+    n >= 1 and k >= 0."""
     if n <= 0:
         raise DomainError("sigma(n, k) needs n >= 1, got n=%d" % n)
+    if k < 0:
+        raise DomainError("sigma(n, k) needs k >= 0, got k=%d" % k)
     return sum(d ** k for d in _divisors(n))
 
 

@@ -9,10 +9,11 @@ exactly when the matrix has full expected rank t = dim S^H_m and the
 exponents are the consecutive run m/2, m/2+1, ..., m/2+t-1.
 
 The rank statement is only conclusive when the monomials are known to span
-S^H_m: that holds on non-hyperelliptic curves, and trivially whenever the
-observed rank equals t.  On hyperelliptic curves the span is provably a
-proper subspace for m >= 6, so the verdict is refused there; at m = 4 a
-report is still produced but flagged SPAN_NOT_GUARANTEED.
+S^H_m: that holds on non-hyperelliptic curves (Max Noether), which the
+basis tells apart by the rank of its degree-2 monomials, and trivially
+whenever the observed rank equals t.  On hyperelliptic curves the span is
+provably a proper subspace for m >= 6, so the verdict is refused there;
+at m = 4 a report is still produced but flagged SPAN_NOT_GUARANTEED.
 
 An independent route to the same verdict goes through the q-Wronskian: the
 order of vanishing of the Wronskian of an echelon basis of S^H_m at the
@@ -32,9 +33,9 @@ from .surface import (HYPERELLIPTIC, NOT_HYPERELLIPTIC, _require_even_weight,
                       dim_s_h)
 from .wronskian import wronskian_valuation
 
-#: Report flag: the curve is hyperelliptic and the monomial matrix came out
-#: rank-deficient, so the monomials are not known to span S^H_m and the
-#: verdict must not be trusted.
+#: Report flag, at m = 4 only: the degree-2 monomials have rank 2g - 1 <
+#: dim S^H_4, so the basis is that of a hyperelliptic curve, the monomials
+#: do not span S^H_4 and the verdict must not be trusted.
 SPAN_NOT_GUARANTEED = "SPAN_NOT_GUARANTEED"
 
 
@@ -344,7 +345,8 @@ def check_inputs(basis, m, sig):
     """The checks weierstrass_test makes before any elimination, in its
     order: sig has the basis's genus, which is at least 2, and m is an
     even weight whose required_precision the basis holds.  A caller that
-    prints before the test runs calls this first."""
+    prints before the test runs calls this first.  A hyperelliptic status
+    is checked only after the elimination."""
     if sig.genus != basis.genus:
         raise DomainError(
             "signature genus %d does not match basis genus %d"
@@ -355,21 +357,27 @@ def check_inputs(basis, m, sig):
     _checked_precision(basis, m)
 
 
-def weierstrass_test(basis, m, sig, hyperelliptic_status=NOT_HYPERELLIPTIC):
+def weierstrass_test(basis, m, sig, hyperelliptic_status=None):
     """Run the monomial-elimination test for the infinite cusp.
 
-    sig must carry the same genus as the basis (>= 2).  The default
-    hyperelliptic_status asserts the curve is not hyperelliptic, which is
-    what makes a rank-deficient matrix an error (RankDeficit: the
-    monomials provably span S^H_m there, so a shortfall means bad input).
-    Pass surface.HYPERELLIPTIC to get, instead, HyperellipticUnsupported
-    for m >= 6 (the span is provably proper) or a SPAN_NOT_GUARANTEED
-    report at m = 4.  The matrix is _monomial_matrix(basis, m,
-    basis.prec), every monomial built: reading all stored columns lets
-    rank > t expose a basis that is not one of the weight-2 cusp forms.
-    Its kept rows, those no dead quadric divides, span it and include
-    every row independent of the rows before it, so echelon_reduce sweeps
-    only those at full width, and its sorted schedule reads every row.
+    sig must carry the same genus as the basis (>= 2).  The verdict
+    depends on the basis alone.  Its degree-2 monomials have rank 2g - 1
+    on a hyperelliptic curve (all three when g = 2) and 3g - 3 on any
+    other (Max Noether); any other rank is a RankDeficit.  That rank is
+    the rank at m = 4; at m >= 6, rank t = dim S^H_m rules a hyperelliptic
+    curve out and a lower rank asks subspace_dimension(basis, 4).
+    hyperelliptic_status is a claim, None for none, and one the basis
+    contradicts is a ValidationError; at m = 2 none is read or checked.
+    A rank below t is a RankDeficit at m = 2 and off hyperelliptic
+    curves, where the monomials provably span S^H_m; on one it is
+    HyperellipticUnsupported for m >= 6, where the span is provably
+    proper, and a SPAN_NOT_GUARANTEED report at m = 4.
+    The matrix is _monomial_matrix(basis, m, basis.prec), every monomial
+    built: reading all stored columns lets rank > t expose a basis that is
+    not one of the weight-2 cusp forms.  Its kept rows, those no dead
+    quadric divides, span it and include every row independent of the
+    rows before it, so echelon_reduce sweeps only those at full width, and
+    its sorted schedule reads every row.
     """
     check_inputs(basis, m, sig)
     vecs, matrix, kept = _monomial_matrix(basis, m, basis.prec)
@@ -380,24 +388,40 @@ def weierstrass_test(basis, m, sig, hyperelliptic_status=NOT_HYPERELLIPTIC):
         raise ValidationError(
             "monomial matrix rank %d exceeds dim S^H_%d = %d: the basis and "
             "signature are inconsistent" % (rank, m, t))
+    status = None
+    if m > 4 and rank == t:
+        status = NOT_HYPERELLIPTIC
+    elif m > 2:
+        g = basis.genus
+        quad = rank if m == 4 else subspace_dimension(basis, 4)
+        if quad not in (2 * g - 1, 3 * g - 3):
+            raise RankDeficit(
+                "the degree-2 monomials have rank %d, but on a curve of "
+                "genus %d they have rank 3g - 3 = %d, or 2g - 1 = %d if it "
+                "is hyperelliptic: the input basis is defective"
+                % (quad, g, 3 * g - 3, 2 * g - 1))
+        status = HYPERELLIPTIC if quad == 2 * g - 1 else NOT_HYPERELLIPTIC
+    if status and hyperelliptic_status not in (None, status):
+        raise ValidationError(
+            "the monomial ranks make the curve %s, against the claimed %s"
+            % (status, hyperelliptic_status))
     flags = ()
     if rank < t:
         if m == 2:
             raise RankDeficit(
                 "the %d basis forms only span a %d-dimensional space"
                 % (t, rank))
-        if hyperelliptic_status == HYPERELLIPTIC:
-            if m >= 6:
-                raise HyperellipticUnsupported(
-                    "hyperelliptic curve at weight %d: the monomials span a "
-                    "proper subspace of S^H_%d (rank %d < %d), so the gap "
-                    "criterion does not apply" % (m, m, rank, t))
-            flags = (SPAN_NOT_GUARANTEED,)
-        else:
+        if status == NOT_HYPERELLIPTIC:
             raise RankDeficit(
                 "monomial matrix rank %d < dim S^H_%d = %d on a "
                 "non-hyperelliptic curve: the input basis is defective"
                 % (rank, m, t))
+        if m >= 6:
+            raise HyperellipticUnsupported(
+                "hyperelliptic curve at weight %d: the monomials span a "
+                "proper subspace of S^H_%d (rank %d < %d), so the gap "
+                "criterion does not apply" % (m, m, rank, t))
+        flags = (SPAN_NOT_GUARANTEED,)
     pivots = list(result.pivots)
     expected = list(range(m // 2, m // 2 + t))
     is_weierstrass = not (rank == t and pivots == expected)

@@ -407,20 +407,18 @@ def test_weierstrass_hyperelliptic_weight6_fails():
     assert code == 1 and "does not apply" in err
 
 
-def test_weierstrass_without_level_notes_assumption():
-    code, out, _ = run("weierstrass", FIX34, "--weight", "4")
-    assert code == 0
-    assert "note: no --level given; assuming a non-hyperelliptic curve" in out
-
-
-def test_weierstrass_without_level_blames_its_assumption_not_the_basis():
-    # X_0(35) is hyperelliptic of genus 3, so its degree-2 monomials span
-    # less than dim S^H_4.  Without --level the CLI assumed a
-    # non-hyperelliptic curve; the error names that and the way out.
-    code, out, err = run("weierstrass", FIX35, "--weight", "4")
-    assert code == 1
-    assert "assuming a non-hyperelliptic curve" in out
-    assert "assumed not hyperelliptic" in err and "--level N" in err
+@pytest.mark.parametrize("m", ["4", "6", "8", "10"])
+def test_weierstrass_without_level_reads_hyperellipticity_off_the_basis(m):
+    # X_0(35) is hyperelliptic of genus 3: its degree-2 monomials have rank
+    # 2g - 1 = 5.  Without --level the basis says so itself, and the run
+    # matches the --level 35 one past the header.
+    bare = run("weierstrass", FIX35, "--weight", m)
+    named = run("weierstrass", FIX35, "--weight", m, "--level", "35")
+    assert bare[0] == named[0] == (0 if m == "4" else 1)
+    assert bare[2] == named[2]
+    head, _, rest = bare[1].partition("\n")
+    assert head == "Gamma0(35): genus 3 (from form count)"
+    assert rest == named[1].partition("\n")[2]
 
 
 def test_weierstrass_without_level_keeps_the_weight_two_rank_deficit(
@@ -439,7 +437,6 @@ def test_weierstrass_without_level_keeps_the_weight_two_rank_deficit(
 def test_weierstrass_genus_two_without_level_is_hyperelliptic():
     code, out, _ = run("weierstrass", FIX37, "--weight", "4")
     assert code == 0
-    assert "genus 2, hence a hyperelliptic curve" in out
 
 
 @pytest.mark.parametrize("stored, level", [(34, 35), (35, 34)])
@@ -450,6 +447,26 @@ def test_weierstrass_rejects_a_level_the_file_contradicts(stored, level):
     assert (code, out) == (1, "")
     assert err == ("error: %s holds a basis for Gamma0(%d), but --level is "
                    "%d\n" % (path, stored, level))
+
+
+@pytest.mark.parametrize("stored, level, found, claimed", [
+    (34, 35, "NOT_HYPERELLIPTIC", "HYPERELLIPTIC"),
+    (35, 34, "HYPERELLIPTIC", "NOT_HYPERELLIPTIC"),
+])
+def test_weierstrass_level_the_basis_contradicts_is_refused(
+        tmp_path, stored, level, found, claimed):
+    # Relabeled, the file passes the label check; the degree-2 rank of the
+    # basis then contradicts Ogg's status for --level.
+    text = fixture_path(stored).read_text(encoding="utf-8").replace(
+        "LEVEL Gamma0(%d)" % stored, "LEVEL Gamma0(%d)" % level)
+    path = tmp_path / "relabeled.qexp"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run("weierstrass", str(path), "--weight", "4",
+                         "--level", str(level))
+    assert code == 1
+    assert out.startswith("Gamma_0(%d): genus 3" % level)
+    assert err == ("error: the monomial ranks make the curve %s, against the "
+                   "claimed %s\n" % (found, claimed))
 
 
 @pytest.mark.parametrize("level", ["0", "-3"])
@@ -605,6 +622,7 @@ def test_one_parser_serves_every_call(capsys, tmp_path):
         ("dims", "55", "8"),
         ("wronskian", FIX55),
         ("weierstrass", FIX55, "--weight", "4", "--level", "55"),
+        ("weierstrass", FIX35, "--weight", "4"),
     ],
 )
 def test_output_is_byte_stable(argv):

@@ -34,6 +34,13 @@ def test_sigma_rejects_nonpositive():
         sigma(0, 3)
 
 
+def test_sigma_rejects_negative_powers():
+    # d ** k is a float for k < 0: sigma(6, -1) would be 2.0.
+    with pytest.raises(DomainError, match="k >= 0, got k=-1"):
+        sigma(6, -1)
+    assert sigma(6, 0) == 4
+
+
 @given(st.integers(min_value=1, max_value=200), st.integers(min_value=1, max_value=5))
 def test_sigma_matches_brute_force(n, k):
     assert sigma(n, k) == sum(d ** k for d in range(1, n + 1) if n % d == 0)

@@ -512,10 +512,42 @@ def test_genus2_weight4_full_rank_needs_no_flag():
 
 
 def test_rank_deficit_is_an_error_off_hyperelliptic_curves():
-    # genus 2 is always hyperelliptic; declaring it otherwise makes the
-    # structural rank shortfall at weight 6 look like defective input.
-    with pytest.raises(RankDeficit):
+    # genus 2 is always hyperelliptic: all three degree-2 monomials are
+    # independent.  The structural rank shortfall at weight 6 makes the
+    # test read that off the basis, so a NOT claim is refused.
+    with pytest.raises(ValidationError, match="HYPERELLIPTIC, against the "
+                       "claimed NOT_HYPERELLIPTIC"):
         run_fixture(37, 6, status=NOT_HYPERELLIPTIC)
+
+
+@pytest.mark.parametrize("level", FIXTURE_LEVELS)
+def test_hyperellipticity_is_read_off_the_basis(level):
+    # At m = 4 with no claim, only X_0(35), whose degree-2 monomials have
+    # rank 2g - 1 < 3g - 3, gets a flagged report, on the bundled basis
+    # and on random changes of it.  The opposite of Ogg's status is
+    # refused.
+    basis = load_fixture(level)
+    inv = gamma0_invariants(level)
+    opposite = {HYPERELLIPTIC: NOT_HYPERELLIPTIC,
+                NOT_HYPERELLIPTIC: HYPERELLIPTIC}[inv.hyperelliptic_status]
+    rng = random.Random(2600 + level)
+    for other in [basis] + [random_basis_change(basis, rng) for _ in range(2)]:
+        report = weierstrass_test(other, 4, inv.signature)
+        assert report.flags == ((SPAN_NOT_GUARANTEED,) if level == 35 else ())
+        with pytest.raises(ValidationError):
+            weierstrass_test(other, 4, inv.signature,
+                             hyperelliptic_status=opposite)
+
+
+def test_a_defective_degree_two_rank_names_both_expected_ranks():
+    # A zero form leaves the degree-2 monomials of X_0(34) rank 3, neither
+    # 3g - 3 = 6 nor 2g - 1 = 5.
+    fs = load_fixture(34).series_list()
+    basis = CuspBasis.from_series("x", fs[:2] + [QSeries.zero(fs[0].prec)])
+    for m in (4, 6):
+        with pytest.raises(RankDeficit, match="rank 3, .* 3g - 3 = 6, or "
+                           "2g - 1 = 5 if it is hyperelliptic"):
+            weierstrass_test(basis, m, sig_of(34))
 
 
 def test_duplicate_forms_are_a_rank_deficit_at_weight_two():
@@ -716,12 +748,21 @@ def test_wronskian_criterion_rejects_empty_and_odd():
 
 @given(cusp_bases())
 @settings(max_examples=40, deadline=None)
+@example(CuspBasis.from_series("zero tail", [
+    qs(0, 1, *[0] * 11), qs(0, 0, 1, *[0] * 10), QSeries.zero(13)]))
+@example(load_fixture(35))
 def test_report_is_internally_consistent(basis):
-    # Weight 4 under the hyperelliptic gate always yields a report: a rank
-    # shortfall is flagged rather than raised, and the monomial count equals
-    # the expected dimension for genus 2 and 3, so the rank never exceeds it.
-    sig = SurfaceSignature(basis.genus, 1)
-    report = weierstrass_test(basis, 4, sig, hyperelliptic_status=HYPERELLIPTIC)
+    # At weight 4 the rank is that of the degree-2 monomials, whose count
+    # equals the expected dimension for genus 2 and 3, so it never exceeds
+    # it.  A rank of 3g - 3 or 2g - 1 yields a report, a shortfall being
+    # flagged; any other rank is a defective basis.
+    g = basis.genus
+    sig = SurfaceSignature(g, 1)
+    if _full_width_rank(basis, 4) not in (3 * g - 3, 2 * g - 1):
+        with pytest.raises(RankDeficit):
+            weierstrass_test(basis, 4, sig)
+        return
+    report = weierstrass_test(basis, 4, sig)
     assert report.rank == len(report.rows) == len(report.gap_sequence)
     assert all(a < b for a, b in zip(report.gap_sequence,
                                      report.gap_sequence[1:]))
