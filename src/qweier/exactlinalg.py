@@ -12,8 +12,9 @@ solve, solve_on_rows, sweeps the basis rows its caller names and
 writes row-space vectors on them.  The sorted schedule fixes the
 echelon rows: echelon_reduce runs it on the pivot columns that one
 full-width sweep finds, and writes its rows back at full width against
-that sweep's pivot rows.  Determinants of series matrices live in
-wronskian.
+that sweep's pivot rows.  Its result names the sweep's basis, on which
+a caller solves for the echelon rows as combinations of the input rows.
+Determinants of series matrices live in wronskian.
 """
 
 from fractions import Fraction
@@ -65,33 +66,22 @@ class EchelonResult:
 
     pivots are the leading-entry columns of the nonzero echelon rows,
     strictly increasing; rank = number of nonzero rows, which come first.
-    combinations() writes each nonzero echelon row as a combination of
-    the basis, by solve_on_rows: the `rank` input rows independent of the
-    rows before them, which echelon_reduce's sweep picked.
+    basis lists the `rank` input rows independent of the rows before
+    them, which echelon_reduce's sweep picked: a caller that wants the
+    echelon rows as combinations of the input rows passes it, with the
+    input matrix and the pivots, to solve_on_rows.
     """
 
-    __slots__ = ("echelon", "pivots", "rank", "_source", "_basis")
+    __slots__ = ("echelon", "pivots", "rank", "basis")
 
     # No transformation matrix is built; bench/tracing.py still reads this.
     transform = None
 
-    def __init__(self, echelon, pivots, rank, source, basis):
+    def __init__(self, echelon, pivots, rank, basis):
         self.echelon = echelon
         self.pivots = pivots
         self.rank = rank
-        self._source = source
-        self._basis = basis
-
-    def combinations(self):
-        """For each nonzero echelon row, a tuple of input-row coefficients
-        (Fractions) whose combination of the input rows is that row.  All
-        are supported on the basis, the same `rank` independent input rows,
-        so each is a valid combination, not the unique one when rank <
-        rows."""
-        k = self.rank
-        rows = RatMatrix(self.echelon.nums[:k], [1] * k, self.echelon.cols)
-        return [tuple(x) for x in solve_on_rows(
-            self._source, self.pivots, self._basis, rows)]
+        self.basis = basis
 
 
 def _integer_row(values):
@@ -175,16 +165,15 @@ def echelon_reduce(m, *, rows=None):
     multiple of the full-width schedule's row, and the normalization
     returns the same integers.  Every row independent of the rows before
     it is swept, so the pivots, the rank and the basis are those of all
-    rows; coordinates on a fixed basis are unique, so combinations() are
-    too.
+    rows, and so are the coordinates of the echelon rows on that basis.
 
     Writing back a row h: with the columns ordered pivots first,
     [h | 0 ... 0 | 1] is reduced to zero on its first k entries against
     the pivot rows so ordered.  Its last entry ends as some S != 0, and
     the vector of the row space is S*h on the pivot columns and minus
     the reduced entries elsewhere.  A row the schedule never cancelled
-    is its own input row.  No row operations are recorded;
-    combinations() solves on the basis when asked.
+    is its own input row.  No row operations are recorded: the caller
+    that wants them solves on the basis with solve_on_rows.
     """
     r, c = m.rows, m.cols
     pivrows = {}
@@ -213,7 +202,7 @@ def echelon_reduce(m, *, rows=None):
                 full[j] = -x
         ech.append(_normalized(full, pivots[s]))
     ech += [[0] * c] * (r - k)
-    return EchelonResult(RatMatrix(ech, [1] * r, cols=c), pivots, k, m, basis)
+    return EchelonResult(RatMatrix(ech, [1] * r, cols=c), pivots, k, basis)
 
 
 def _sorted_schedule(rows, c):

@@ -10,8 +10,9 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DependentInput, DomainError, NotInSpace, PrecisionError
-from .exactlinalg import dependent_rows, pivot_columns, solve_on_rows
+from .errors import (DependentInput, DomainError, NotInSpace, PrecisionError,
+                     ShapeError)
+from .exactlinalg import pivot_columns, solve_on_rows
 from .qseries import QSeries, coefficient_matrix
 from .surface import _divisors
 
@@ -132,13 +133,13 @@ def express_in_monomials(f, weight):
     """Write the series f, as a form of weight m = weight, as a rational
     combination of the monomials E4^a E6^b, 4a + 6b = m.
 
-    Every stored coefficient takes part.  In the matrix with the d
-    monomials and then f as rows, no row depends on the rows before it
-    when f is outside the span at this precision (NotInSpace), and only
-    row d does exactly when the monomials are independent (DependentInput
-    if not) and f lies in their span.  solve_on_rows then writes f on the
-    monomials.  Returns the list of (MonomialExponent, coefficient) pairs
-    with nonzero coefficient, in m_basis order.
+    Every stored coefficient takes part.  One sweep gives the pivots of
+    the matrix with the d monomials and then f as rows: rank d + 1 puts
+    f outside the span at this precision (NotInSpace).  solve_on_rows
+    then writes f on the monomials, and refuses them as no basis when
+    they are dependent, a DependentInput.  Returns the list of
+    (MonomialExponent, coefficient) pairs with nonzero coefficient, in
+    m_basis order.
     """
     basis = m_basis(weight)
     d = len(basis)
@@ -150,18 +151,19 @@ def express_in_monomials(f, weight):
         )
     rows = monomial_ladder(weight, prec) + [f]
     matrix = coefficient_matrix(rows, prec)
-    dependent = dependent_rows(matrix)
-    if not dependent:
+    pivots = pivot_columns(matrix)
+    if len(pivots) > d:
         raise NotInSpace(
             "not a weight-%d form of the full group at precision %d"
             % (weight, prec)
         )
-    if dependent != [d]:
+    target = coefficient_matrix([f], prec)
+    try:
+        (coeffs,) = solve_on_rows(matrix, pivots, range(d), target)
+    except (ShapeError, DomainError):
         raise DependentInput(
             "the weight-%d monomials are linearly dependent modulo q^%d: "
             "either truly dependent or the precision is too low"
             % (weight, prec)
-        )
-    (coeffs,) = solve_on_rows(matrix, pivot_columns(matrix), range(d),
-                              coefficient_matrix([f], prec))
+        ) from None
     return [(basis[j], coeffs[j]) for j in range(d) if coeffs[j] != 0]

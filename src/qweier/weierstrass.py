@@ -27,7 +27,7 @@ from math import prod
 from .errors import (DomainError, HyperellipticUnsupported, PrecisionError,
                      RankDeficit, ValidationError)
 from .exactlinalg import (RatMatrix, dependent_rows, echelon_reduce,
-                          pivot_columns)
+                          pivot_columns, solve_on_rows)
 from .qseries import QSeries
 from .surface import (HYPERELLIPTIC, NOT_HYPERELLIPTIC, _require_even_weight,
                       dim_s_h)
@@ -163,8 +163,8 @@ def _checked_precision(basis, m):
 
 
 def _monomial_matrix(basis, m, prec, skip=False):
-    """(vecs, matrix, kept): the degree-(m/2) monomials in the basis forms
-    modulo q^prec, vecs their exponent vectors in lexicographically
+    """(vecs, matrix, kept, quad): the degree-(m/2) monomials in the basis
+    forms modulo q^prec, vecs their exponent vectors in lexicographically
     decreasing order and matrix the RatMatrix whose row i is monomial i,
     the integer product of the numerator rows over den_0^a_0 * ... *
     den_(g-1)^a_(g-1), a = vecs[i], not reduced to lowest terms.  The
@@ -191,7 +191,9 @@ def _monomial_matrix(basis, m, prec, skip=False):
     quadric divides: every row when m <= 4 or no quadric dies.  With
     skip the walk builds only those rows, so kept lists every row and
     vecs holds only their vectors.  A quadric dead only modulo a lower
-    power of q proves nothing modulo q^prec.
+    power of q proves nothing modulo q^prec.  quad is the rank of the
+    quadrics modulo q^prec, their count minus the dead ones, for m >= 6,
+    and None for m <= 4, where the quadrics are the matrix's own rows.
     """
     d = m // 2
     rows = [f.nums[:prec] for f in basis.series_list()]
@@ -200,7 +202,7 @@ def _monomial_matrix(basis, m, prec, skip=False):
     last = [1]
     for _ in range(d):
         last.append(ring.mul(last[-1], xs[-1]))
-    dead = []
+    dead, quad = [], None
     if d > 2:
         quadrics = []
         _extend_monomials(ring, xs, last, 0, 2, 1, [0] * len(xs), quadrics)
@@ -209,6 +211,7 @@ def _monomial_matrix(basis, m, prec, skip=False):
                 for k in dependent_rows(RatMatrix(
                     [ring.unpack(x) for _, x in quadrics],
                     [1] * len(quadrics), prec))]
+        quad = len(quadrics) - len(dead)
     kills = None
     if dead and skip:
         kills = [0] * len(xs)
@@ -226,7 +229,7 @@ def _monomial_matrix(basis, m, prec, skip=False):
         kept = list(range(len(vecs)))
     return vecs, RatMatrix([ring.unpack(x) for _, x in leaves],
                            [prod(map(pow, dens, vec)) for vec in vecs],
-                           prec), kept
+                           prec), kept, quad
 
 
 class _PackedRows:
@@ -364,8 +367,8 @@ def weierstrass_test(basis, m, sig, hyperelliptic_status=None):
     depends on the basis alone.  Its degree-2 monomials have rank 2g - 1
     on a hyperelliptic curve (all three when g = 2) and 3g - 3 on any
     other (Max Noether); any other rank is a RankDeficit.  That rank is
-    the rank at m = 4; at m >= 6, rank t = dim S^H_m rules a hyperelliptic
-    curve out and a lower rank asks subspace_dimension(basis, 4).
+    the rank at m = 4.  At m >= 6 rank t = dim S^H_m rules a hyperelliptic
+    curve out, and a lower rank reads the quadric rank of _monomial_matrix.
     hyperelliptic_status is a claim, None for none, and one the basis
     contradicts is a ValidationError; at m = 2 none is read or checked.
     A rank below t is a RankDeficit at m = 2 and off hyperelliptic
@@ -377,10 +380,11 @@ def weierstrass_test(basis, m, sig, hyperelliptic_status=None):
     not one of the weight-2 cusp forms.  Its kept rows, those no dead
     quadric divides, span it and include every row independent of the
     rows before it, so echelon_reduce sweeps only those at full width, and
-    its sorted schedule reads every row.
+    its sorted schedule reads every row.  The combinations come from one
+    solve_on_rows call on the basis that echelon_reduce's sweep picked.
     """
     check_inputs(basis, m, sig)
-    vecs, matrix, kept = _monomial_matrix(basis, m, basis.prec)
+    vecs, matrix, kept, quad = _monomial_matrix(basis, m, basis.prec)
     result = echelon_reduce(matrix, rows=kept)
     t = dim_s_h(sig, m)
     rank = result.rank
@@ -393,7 +397,7 @@ def weierstrass_test(basis, m, sig, hyperelliptic_status=None):
         status = NOT_HYPERELLIPTIC
     elif m > 2:
         g = basis.genus
-        quad = rank if m == 4 else subspace_dimension(basis, 4)
+        quad = rank if m == 4 else quad
         if quad not in (2 * g - 1, 3 * g - 3):
             raise RankDeficit(
                 "the degree-2 monomials have rank %d, but on a curve of "
@@ -425,11 +429,11 @@ def weierstrass_test(basis, m, sig, hyperelliptic_status=None):
     pivots = list(result.pivots)
     expected = list(range(m // 2, m // 2 + t))
     is_weierstrass = not (rank == t and pivots == expected)
-    rows = [
-        QSeries.from_numerators(result.echelon.nums[i], result.echelon.dens[i])
-        for i in range(rank)
-    ]
-    combinations = result.combinations()
+    nums = result.echelon.nums[:rank]
+    rows = [QSeries.from_numerators(row, 1) for row in nums]
+    combinations = [tuple(x) for x in solve_on_rows(
+        matrix, pivots, result.basis,
+        RatMatrix(nums, [1] * rank, matrix.cols))]
     return WeierstrassReport(
         m=m,
         expected_dim=t,

@@ -55,7 +55,7 @@ def monomials(basis, m):
     decreasing exponent order, as (exponent vector, series) pairs: row i
     of _monomial_matrix(basis, m, basis.prec) in lowest terms, the same
     (nums, den, prec) as a chain of QSeries products."""
-    vecs, matrix, _ = _monomial_matrix(basis, m, basis.prec)
+    vecs, matrix = _monomial_matrix(basis, m, basis.prec)[:2]
     return [(vec, QSeries.from_numerators(row, den))
             for vec, row, den in zip(vecs, matrix.nums, matrix.dens)]
 

@@ -22,7 +22,8 @@ from conftest import (
     random_basis_change,
     rat_matrix,
 )
-from qweier.exactlinalg import echelon_reduce, pivot_columns
+from qweier.exactlinalg import (RatMatrix, echelon_reduce, pivot_columns,
+                                solve_on_rows)
 from qweier.level1 import (
     MonomialExponent,
     delta,
@@ -434,12 +435,21 @@ def _criterion_8d_matrices():
         yield entries, c, perm
 
 
+def _combinations(matrix, result):
+    """The nonzero echelon rows of result written on its basis of input
+    rows of matrix, as weierstrass_test writes its combinations."""
+    k = result.rank
+    return solve_on_rows(matrix, result.pivots, result.basis,
+                         RatMatrix(result.echelon.nums[:k], [1] * k,
+                                   matrix.cols))
+
+
 def test_criterion_8d_echelon_invariants_on_random_matrices():
     for entries, c, perm in _criterion_8d_matrices():
         r = len(entries)
         matrix = rat_matrix(entries, c)
         result = echelon_reduce(matrix)
-        assert matrix_product(rat_matrix(result.combinations(), r),
+        assert matrix_product(rat_matrix(_combinations(matrix, result), r),
                               matrix) == result.echelon.entries[:result.rank]
         assert list(result.pivots) == sorted(result.pivots)
         assert result.rank == len(result.pivots)
@@ -475,7 +485,7 @@ def test_exact_core_digest_is_pinned():
             [list(row) for row in result.echelon.nums],
             list(result.pivots),
             result.rank,
-            [[str(x) for x in c] for c in result.combinations()],
+            [[str(x) for x in c] for c in _combinations(matrix, result)],
         ]).encode())
     assert digest.hexdigest() == EXACT_CORE_SHA256
     _passed(8, "E: the exact core's output on %d matrices matches its "

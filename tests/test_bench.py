@@ -7,7 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import qweier.exactlinalg
+import qweier.weierstrass
 from conftest import load_fixture
 from qweier.surface import gamma0_invariants
 from qweier.weierstrass import weierstrass_test
@@ -26,18 +26,20 @@ def test_bench_self_test_passes():
 
 def test_a_traced_run_solves_as_often_as_an_untraced_one(monkeypatch):
     # The tracer reads each echelon result; reading it must not make the
-    # exact core build anything an untraced run does not.
+    # exact core build anything an untraced run does not.  The spy sits
+    # where weierstrass_test looks the solve up, and an untraced run
+    # solves exactly once, so a spy that sees no call cannot pass.
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     from tracing import Tracer
 
     calls = []
-    solve = qweier.exactlinalg.solve_on_rows
+    solve = qweier.weierstrass.solve_on_rows
 
     def spy(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(qweier.exactlinalg, "solve_on_rows", spy)
+    monkeypatch.setattr(qweier.weierstrass, "solve_on_rows", spy)
     basis, inv = load_fixture(55), gamma0_invariants(55)
 
     def run():
@@ -47,6 +49,7 @@ def test_a_traced_run_solves_as_often_as_an_untraced_one(monkeypatch):
         return len(calls)
 
     untraced = run()
+    assert untraced == 1
     tracer = Tracer()
     tracer.install()
     try:

@@ -4,7 +4,9 @@ of a QweierError subclass (every failure is a typed QweierError, also
 under python -O), apart from three built-in kinds: a TypeError for a bad
 operand, an AttributeError from an immutable __setattr__ and
 argparse.ArgumentTypeError for an argument type.  No floating point: no float literal, no use of the name float, and no true
-division `/` (write Fraction(a, b) or use // on integers)."""
+division `/` (write Fraction(a, b) or use // on integers).  No bare
+print(...) call: output is written to the stream the caller passes
+(cli._print), so stdout stays byte-stable."""
 
 import ast
 from pathlib import Path
@@ -42,6 +44,9 @@ def _violations(tree):
         elif isinstance(node, ast.Raise) and node.exc is not None \
                 and _raised(node) not in RAISABLE:
             yield node.lineno, "raise %s" % _raised(node)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "print":
+            yield node.lineno, "print call"
 
 
 def test_sources_are_found():
@@ -58,11 +63,11 @@ def test_source_follows_the_exact_arithmetic_rules(path):
 
 def test_the_rules_catch_each_kind():
     text = ("assert x\ny = 0.5\nz = float(y)\nw = a / b\nw /= 2\n"
-            "raise ValueError('x')\nraise exc\n"
+            "raise ValueError('x')\nraise exc\nprint(x)\n"
             # Each of these passes.
             "raise\nraise ParseError('x') from None\n"
-            "raise argparse.ArgumentTypeError('x')\n")
+            "raise argparse.ArgumentTypeError('x')\n_print(out, x)\n")
     assert sorted(_violations(ast.parse(text))) == [
         (1, "assert statement"), (2, "float literal 0.5"),
         (3, "the name float"), (4, "true division /"), (5, "true division /"),
-        (6, "raise ValueError"), (7, "raise exc")]
+        (6, "raise ValueError"), (7, "raise exc"), (8, "print call")]

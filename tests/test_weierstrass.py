@@ -342,14 +342,14 @@ def test_kept_monomials_span_and_keep_every_independent_row(case):
     # skip=True builds.  No quadric dies at m <= 4, where none is swept,
     # or on X_0(34), a plane quartic, so every row is kept there.
     basis, m = case
-    vecs, matrix, kept = _monomial_matrix(basis, m, basis.prec)
+    vecs, matrix, kept, _ = _monomial_matrix(basis, m, basis.prec)
     sub = RatMatrix([matrix.nums[i] for i in kept],
                     [matrix.dens[i] for i in kept], matrix.cols)
     assert len(pivot_columns(sub)) == len(pivot_columns(matrix))
     assert set(range(matrix.rows)) - set(dependent_rows(matrix)) <= set(kept)
     if m <= 4 or basis is load_fixture(34):
         assert kept == list(range(matrix.rows))
-    skipped, _, skipped_kept = _monomial_matrix(
+    skipped, _, skipped_kept, _ = _monomial_matrix(
         basis, m, basis.prec, skip=True)
     assert [vecs[i] for i in kept] == skipped
     assert skipped_kept == list(range(len(skipped)))
@@ -539,15 +539,63 @@ def test_hyperellipticity_is_read_off_the_basis(level):
                              hyperelliptic_status=opposite)
 
 
+def _zero_form_34():
+    """X_0(34)'s basis with its last form replaced by zero."""
+    fs = load_fixture(34).series_list()
+    return CuspBasis.from_series("x", fs[:2] + [QSeries.zero(fs[0].prec)])
+
+
 def test_a_defective_degree_two_rank_names_both_expected_ranks():
     # A zero form leaves the degree-2 monomials of X_0(34) rank 3, neither
     # 3g - 3 = 6 nor 2g - 1 = 5.
-    fs = load_fixture(34).series_list()
-    basis = CuspBasis.from_series("x", fs[:2] + [QSeries.zero(fs[0].prec)])
+    basis = _zero_form_34()
     for m in (4, 6):
         with pytest.raises(RankDeficit, match="rank 3, .* 3g - 3 = 6, or "
                            "2g - 1 = 5 if it is hyperelliptic"):
             weierstrass_test(basis, m, sig_of(34))
+
+
+_REFUSED = "hyperelliptic curve at weight %d: the monomials span a proper " \
+    "subspace of S^H_%d (rank %d < %d), so the gap criterion does not apply"
+
+
+def test_the_degree_two_rank_comes_from_the_quadric_sweep(monkeypatch):
+    # At m >= 6 with rank < t the verdict needs the degree-2 rank, and it
+    # reads the rank of the quadrics that _monomial_matrix swept: nothing
+    # reaches subspace_dimension, and each refusal keeps its type and its
+    # exact message.
+    calls = []
+    monkeypatch.setattr(qweier.weierstrass, "subspace_dimension",
+                        lambda *args: calls.append(args))
+    cases = [(load_fixture(level), level, m, HyperellipticUnsupported,
+              _REFUSED % (m, m, rank, t))
+             for level, m, rank, t in [(35, 6, 7, 10), (35, 8, 9, 14),
+                                       (35, 10, 11, 18), (37, 6, 4, 5),
+                                       (37, 8, 5, 7)]]
+    cases.append((_zero_form_34(), 34, 6, RankDeficit,
+                  "the degree-2 monomials have rank 3, but on a curve of "
+                  "genus 3 they have rank 3g - 3 = 6, or 2g - 1 = 5 if it "
+                  "is hyperelliptic: the input basis is defective"))
+    for basis, level, m, error, message in cases:
+        with pytest.raises(error) as got:
+            weierstrass_test(basis, m, sig_of(level))
+        assert str(got.value) == message, (level, m)
+    assert calls == []
+
+
+@pytest.mark.parametrize("level", FIXTURE_LEVELS + ("zero",))
+def test_the_quadric_rank_is_the_rank_at_weight_four(level):
+    # _monomial_matrix hands over the rank of the quadrics it sweeps at
+    # m >= 6; it is the rank of the weight-4 matrix on the same columns,
+    # and subspace_dimension(basis, 4) on a basis of cusp forms.
+    basis = _zero_form_34() if level == "zero" else load_fixture(level)
+    _, four, _, none = _monomial_matrix(basis, 4, basis.prec)
+    assert none is None
+    quad = len(pivot_columns(four))
+    for m in (6, 8):
+        assert _monomial_matrix(basis, m, basis.prec)[3] == quad, m
+    if level != "zero":
+        assert subspace_dimension(basis, 4) == quad
 
 
 def test_duplicate_forms_are_a_rank_deficit_at_weight_two():
