@@ -22,6 +22,7 @@ cusp equals the sum of the gap sequence, and the cusp is an
 """
 
 import sys
+from fractions import Fraction
 from math import prod
 
 from .errors import (DomainError, HyperellipticUnsupported, PrecisionError,
@@ -106,23 +107,56 @@ class WeierstrassReport:
     is_weierstrass applies the consecutive-exponent criterion; flags carry
     SPAN_NOT_GUARANTEED when the verdict is not backed by a spanning
     argument.
+
+    The combinations are computed on first read, a read-only property;
+    no verdict needs them.  Until then the report holds basis_rows =
+    (nums, dens, basis, count): the numerator rows of the `rank` monomials
+    in basis, cut to the pivot columns, their denominators, their indices
+    and the number of monomials.
     """
 
     __slots__ = ("m", "expected_dim", "rank", "gap_sequence",
-                 "is_weierstrass", "rows", "combinations",
-                 "monomial_exponents", "flags")
+                 "is_weierstrass", "rows", "monomial_exponents", "flags",
+                 "_basis_rows", "_combinations")
 
     def __init__(self, m, expected_dim, rank, gap_sequence, is_weierstrass,
-                 rows, combinations, monomial_exponents, flags=()):
+                 rows, basis_rows, monomial_exponents, flags=()):
         self.m = m
         self.expected_dim = expected_dim
         self.rank = rank
         self.gap_sequence = tuple(gap_sequence)
         self.is_weierstrass = is_weierstrass
         self.rows = rows
-        self.combinations = combinations
         self.monomial_exponents = tuple(monomial_exponents)
         self.flags = tuple(flags)
+        self._basis_rows = basis_rows
+        self._combinations = None
+
+    @property
+    def combinations(self):
+        """One solve_on_rows call on the k x k cut of the basis rows, with
+        the rows cut to the same pivot columns as targets.  A vector of
+        the row space is fixed by its pivot entries, and its coordinates
+        on a basis are unique, so they are those a solve on the whole
+        monomial matrix returns, scattered to the basis indices."""
+        if self._combinations is None:
+            nums, dens, basis, count = self._basis_rows
+            k = len(basis)
+            pivots = self.gap_sequence
+            targets = RatMatrix([[row.nums[p] for p in pivots]
+                                 for row in self.rows],
+                                [row.den for row in self.rows], k)
+            zero = Fraction(0)
+            combinations = []
+            for coords in solve_on_rows(RatMatrix(nums, dens, k), range(k),
+                                        range(k), targets):
+                full = [zero] * count
+                for i, x in zip(basis, coords):
+                    full[i] = x
+                combinations.append(tuple(full))
+            self._combinations = combinations
+            self._basis_rows = None
+        return self._combinations
 
     def __repr__(self):
         return ("WeierstrassReport(m=%d, t=%d, rank=%d, gaps=%s, "
@@ -174,14 +208,20 @@ def _monomial_matrix(basis, m, prec, skip=False):
     numerator row, cut to prec coefficients, becomes one signed integer
     evaluated at 2^w, and each tree node is one integer product truncated
     modulo q^prec.  A coefficient below q^prec of a product involves only
-    the coefficients below q^prec of its factors, so it is at most
-    norm**(m/2) in absolute value, where norm is the largest l1 norm of a
-    cut row; w = bit_length(norm**(m/2)) + 1 bits, rounded up to 1, 2, 4
-    or 8 bytes, keeps every digit exact.  Each leaf is unpacked once.
+    the coefficients below q^prec of its factors.  Let L be the largest
+    l1 norm and S the largest sum of squares of a cut row.  In a product
+    of j >= 2 rows f_1, ..., f_j, each coefficient of f_(j-1) f_j is at
+    most l2(f_(j-1)) l2(f_j) <= S by Cauchy-Schwarz, and convolving with
+    the other j - 2 rows multiplies that by at most their l1 norms
+    (Young), so every coefficient is at most L**(j-2) * S <= L**(d-2) * S
+    for j <= d = m/2.  A single row's integer coefficients are at most L
+    and at most S.  So w = bit_length(bound) + 1 bits, rounded up to 1,
+    2, 4 or 8 bytes, keeps every digit exact, with bound = L**(d-2) * S
+    for d >= 2 and L for d = 1.  Each leaf is unpacked once.
 
-    For m >= 6 the quadrics, built on the same packed rows (norm**2
-    bounds them too), are swept in the same order modulo the same
-    q^prec.  A dead quadric is one in the span of the quadrics before it.
+    For m >= 6 the quadrics, built on the same packed rows (S bounds
+    them), are swept in the same order modulo the same q^prec.  A dead
+    quadric is one in the span of the quadrics before it.
     A relation modulo q^prec times a form of valuation >= 0 is still
     one, and adding an exponent vector keeps the lexicographic order, so
     every multiple of a dead quadric lies in the span of the monomials
@@ -197,7 +237,11 @@ def _monomial_matrix(basis, m, prec, skip=False):
     """
     d = m // 2
     rows = [f.nums[:prec] for f in basis.series_list()]
-    ring = _PackedRows(prec, max(sum(map(abs, row)) for row in rows) ** d)
+    bound = max(sum(map(abs, row)) for row in rows)
+    if d > 1:
+        bound = bound ** (d - 2) * max(sum(x * x for x in row)
+                                       for row in rows)
+    ring = _PackedRows(prec, bound)
     xs = [ring.pack(row) for row in rows]
     last = [1]
     for _ in range(d):
@@ -237,7 +281,9 @@ class _PackedRows:
     row c_0, ..., c_(prec-1) is sum(c_k * 2^(w*k)), with w = 8 * nbytes
     bits per digit.  Exact while every |c_k| <= bound, since w =
     bit_length(bound) + 1 rounded up to 1, 2, 4 or 8 bytes (or to whole
-    bytes past 8), so every digit lies in [-2^(w-1), 2^(w-1))."""
+    bytes past 8), so every digit lies in [-2^(w-1), 2^(w-1)).  The
+    caller's bound must cover every coefficient of every row and product
+    it packs; _monomial_matrix proves its bound by Cauchy-Schwarz."""
 
     __slots__ = ("prec", "nbytes", "offset", "mask", "typecode")
 
@@ -380,8 +426,10 @@ def weierstrass_test(basis, m, sig, hyperelliptic_status=None):
     not one of the weight-2 cusp forms.  Its kept rows, those no dead
     quadric divides, span it and include every row independent of the
     rows before it, so echelon_reduce sweeps only those at full width, and
-    its sorted schedule reads every row.  The combinations come from one
-    solve_on_rows call on the basis that echelon_reduce's sweep picked.
+    its sorted schedule reads every row.  No solve runs here: the report
+    keeps the rows of the basis that echelon_reduce's sweep picked, cut to
+    the pivot columns, and its combinations come from one solve_on_rows
+    call on them when they are first read.
     """
     check_inputs(basis, m, sig)
     vecs, matrix, kept, quad = _monomial_matrix(basis, m, basis.prec)
@@ -429,11 +477,11 @@ def weierstrass_test(basis, m, sig, hyperelliptic_status=None):
     pivots = list(result.pivots)
     expected = list(range(m // 2, m // 2 + t))
     is_weierstrass = not (rank == t and pivots == expected)
-    nums = result.echelon.nums[:rank]
-    rows = [QSeries.from_numerators(row, 1) for row in nums]
-    combinations = [tuple(x) for x in solve_on_rows(
-        matrix, pivots, result.basis,
-        RatMatrix(nums, [1] * rank, matrix.cols))]
+    rows = [QSeries.from_numerators(row, 1)
+            for row in result.echelon.nums[:rank]]
+    basis_rows = ([[matrix.nums[i][p] for p in pivots] for i in result.basis],
+                  [matrix.dens[i] for i in result.basis], result.basis,
+                  matrix.rows)
     return WeierstrassReport(
         m=m,
         expected_dim=t,
@@ -441,7 +489,7 @@ def weierstrass_test(basis, m, sig, hyperelliptic_status=None):
         gap_sequence=pivots,
         is_weierstrass=is_weierstrass,
         rows=rows,
-        combinations=combinations,
+        basis_rows=basis_rows,
         monomial_exponents=vecs,
         flags=flags,
     )

@@ -26,9 +26,10 @@ def test_bench_self_test_passes():
 
 def test_a_traced_run_solves_as_often_as_an_untraced_one(monkeypatch):
     # The tracer reads each echelon result; reading it must not make the
-    # exact core build anything an untraced run does not.  The spy sits
-    # where weierstrass_test looks the solve up, and an untraced run
-    # solves exactly once, so a spy that sees no call cannot pass.
+    # exact core build anything an untraced run does not.  The spy sits where the report looks the solve up: a bare
+    # weierstrass_test call solves nothing, and the first read of its
+    # combinations solves exactly once, so a spy that sees no call
+    # cannot pass.
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     from tracing import Tracer
 
@@ -44,12 +45,18 @@ def test_a_traced_run_solves_as_often_as_an_untraced_one(monkeypatch):
 
     def run():
         del calls[:]
-        weierstrass_test(basis, 8, inv.signature,
-                         hyperelliptic_status=inv.hyperelliptic_status)
-        return len(calls)
+        report = weierstrass_test(
+            basis, 8, inv.signature,
+            hyperelliptic_status=inv.hyperelliptic_status)
+        counts = [len(calls)]
+        first = report.combinations
+        counts.append(len(calls))
+        assert report.combinations is first
+        counts.append(len(calls))
+        return counts
 
     untraced = run()
-    assert untraced == 1
+    assert untraced == [0, 1, 1]
     tracer = Tracer()
     tracer.install()
     try:
@@ -58,3 +65,27 @@ def test_a_traced_run_solves_as_often_as_an_untraced_one(monkeypatch):
         tracer.uninstall()
     assert tracer.counters["echelon.rows"] > 0
     assert traced == untraced
+
+
+def test_the_verdict_oracle_checks_the_lazy_combinations(monkeypatch):
+    # The bench reads report.combinations only in its oracle, outside
+    # the timed call; a solve that misses by one coordinate must still
+    # be caught there.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    case = next(c for c in workloads.build("verdict", ROOT).cases
+                if c.id == "verdict:34/4")
+    assert workloads._verdict_check(case.call(), case.expected) is None
+    solve = qweier.weierstrass.solve_on_rows
+
+    def perturbed(*args):
+        coords = solve(*args)
+        coords[0][0] += 1
+        return coords
+
+    monkeypatch.setattr(qweier.weierstrass, "solve_on_rows", perturbed)
+    problem = workloads._verdict_check(case.call(), case.expected)
+    assert problem is not None
+    assert problem.startswith("combination ")
+    assert " misses its row" in problem

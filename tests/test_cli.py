@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import qweier.cli
-from conftest import fixture_path, load_fixture
+import qweier.weierstrass
+from conftest import FIXTURE_LEVELS, fixture_path, load_fixture
 from qweier.cli import cli_dispatch, format_gaps
 from qweier.ingest import BasisFile, serialize
 from qweier.level1 import (
@@ -394,6 +395,40 @@ def test_weierstrass_level55_weight4():
     assert code == 0
     assert "gap sequence 2..10, 12..14\n" in out
     assert "IS a 2-Weierstrass point" in out
+
+
+#: sha256 of json.dumps([level, m, extra, code, stdout, stderr]) over
+#: `weierstrass <fixture> --weight m` plus extra, [] or ["--level",
+#: level], for the eight fixtures and m = 2, 4, ..., 10, as computed at
+#: e5116b8, where weierstrass_test still solved for the combinations.
+WEIERSTRASS_CLI_SHA256 = (
+    "4c1acf93e7b9a28f443b9b6a1b0a466abfd2d45b949a139298be408398555ba6")
+
+
+def test_weierstrass_never_solves_for_the_combinations(monkeypatch):
+    # The CLI prints no combination, so no invocation may reach the solve,
+    # and every byte and exit code stays what it was when one ran.
+    calls = []
+    solve = qweier.weierstrass.solve_on_rows
+
+    def spy(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(qweier.weierstrass, "solve_on_rows", spy)
+    digest = hashlib.sha256()
+    codes = set()
+    for level in FIXTURE_LEVELS:
+        for m in (2, 4, 6, 8, 10):
+            for extra in ([], ["--level", str(level)]):
+                code, out, err = run("weierstrass", str(fixture_path(level)),
+                                     "--weight", str(m), *extra)
+                codes.add(code)
+                digest.update(json.dumps(
+                    [level, m, extra, code, out, err]).encode())
+    assert calls == []
+    assert codes == {0, 1}
+    assert digest.hexdigest() == WEIERSTRASS_CLI_SHA256
 
 
 def test_weierstrass_hyperelliptic_weight4_warns():

@@ -18,7 +18,8 @@ from qweier.errors import (
     RankDeficit,
     ValidationError,
 )
-from qweier.exactlinalg import RatMatrix, dependent_rows, pivot_columns
+from qweier.exactlinalg import (RatMatrix, dependent_rows, echelon_reduce,
+                                pivot_columns, solve_on_rows)
 from qweier.qseries import QSeries, coefficient_matrix
 from qweier.surface import (
     HYPERELLIPTIC,
@@ -224,6 +225,50 @@ def test_packed_digit_width_boundaries(n, d, nbytes):
         sign = prod(sgn ** a for sgn, a in zip(signs, vec))
         k = sum((i + 1) * a for i, a in enumerate(vec))
         assert s == QSeries.monomial(sign * n ** d, k, prec)
+
+
+@pytest.mark.parametrize("n,d,prec,nbytes", [
+    (4, 2, 8, 1),         # bound 112, largest coefficient 96
+    (4, 2, 10, 2),        # largest coefficient 2^7
+    (2**6, 2, 8, 2),      # bound 7 * 2^12 < 2^15
+    (2**6, 2, 10, 4),     # largest coefficient 2^15
+    (2**14, 2, 8, 4),     # bound 7 * 2^28 < 2^31
+    (2**14, 2, 10, 8),    # largest coefficient 2^31
+    (2**30, 2, 8, 8),     # bound 7 * 2^60 < 2^63
+    (2**30, 2, 10, 9),    # largest coefficient 2^63: wider than 8 bytes
+    (1, 3, 12, 1),        # bound 121
+    (2, 4, 13, 2),        # bound 16 * 12^3
+])
+def test_packed_width_of_dense_forms(monkeypatch, n, d, prec, nbytes):
+    # Forms +-N(q + ... + q^(prec-1)), every coefficient N: the l1 norm is
+    # L = N(prec - 1) and the sum of squares S = N^2 (prec - 1), so the
+    # digits are sized by N^d (prec - 1)^(d - 1), and a product's largest
+    # coefficient, N^d binom(prec - 2, d - 1) at q^(prec - 1), comes within
+    # a bit of it at d = 2.  At each digit-width edge one case keeps the
+    # narrower digits with its bound just below the edge, and one has a
+    # coefficient on the edge, which only the wider digits hold; the
+    # product chains must come back exactly.
+    widths = []
+
+    class Spy(_PackedRows):
+        __slots__ = ()
+
+        def __init__(self, prec, bound):
+            super().__init__(prec, bound)
+            widths.append(self.nbytes)
+
+    monkeypatch.setattr(qweier.weierstrass, "_PackedRows", Spy)
+    fs = [QSeries.from_numerators([0] + [sgn * n] * (prec - 1))
+          for sgn in (1, -1)]
+    got = monomials(CuspBasis.from_series("dense", fs), 2 * d)
+    assert widths == [nbytes]
+    bound = n ** d * (prec - 1) ** (d - 1)
+    assert _PackedRows(prec, bound).nbytes == nbytes
+    top = max(abs(x) for _, s in got for x in s.nums)
+    assert top == n ** d * comb(prec - 2, d - 1)
+    for vec, s in got:
+        want = _product_chain(fs, vec, prec)
+        assert (s.nums, s.den, s.prec) == (want.nums, want.den, want.prec)
 
 
 #: sha256 of repr((level, m, vec, nums, den, prec)) over monomials(b, m)
@@ -681,6 +726,53 @@ def test_large_reports_keep_their_rows_and_rebuild_them(level, m):
         assert built == row
     _, _, verdict = wronskian_criterion(report.rows, m)
     assert verdict == report.is_weierstrass
+
+
+def _eager_combinations(basis, m):
+    """The combinations as one solve on the whole monomial matrix: the
+    echelon rows written on the basis echelon_reduce picks."""
+    matrix = _monomial_matrix(basis, m, basis.prec)[1]
+    result = echelon_reduce(matrix)
+    k = result.rank
+    return [tuple(x) for x in solve_on_rows(
+        matrix, result.pivots, result.basis,
+        RatMatrix(result.echelon.nums[:k], [1] * k, matrix.cols))]
+
+
+def _lazy_combination_cases():
+    for level, m in [(34, m) for m in range(2, 11, 2)] + [
+            (55, m) for m in range(2, 11, 2)]:
+        yield level, m, load_fixture(level)
+    for level in FIXTURE_LEVELS:
+        other = random_basis_change(load_fixture(level),
+                                    random.Random(3000 + level))
+        for m in (2, 4, 6):
+            yield level, m, other
+
+
+def test_lazy_combinations_equal_one_solve_on_the_whole_matrix():
+    # The criterion-6 cases and a basis change of every fixture: the
+    # combinations read off the report equal the eager solve value for
+    # value, live on at most `rank` monomials and cannot be assigned.
+    checked = 0
+    for level, m, basis in _lazy_combination_cases():
+        inv = gamma0_invariants(level)
+        try:
+            report = weierstrass_test(
+                basis, m, inv.signature,
+                hyperelliptic_status=inv.hyperelliptic_status)
+        except HyperellipticUnsupported:
+            assert inv.hyperelliptic_status == HYPERELLIPTIC and m >= 6
+            continue
+        assert report.combinations == _eager_combinations(basis, m)
+        support = {j for combo in report.combinations
+                   for j, c in enumerate(combo) if c}
+        assert len(support) <= report.rank
+        with pytest.raises(AttributeError):
+            report.combinations = []
+        checked += 1
+    # X_0(35) and X_0(37) are hyperelliptic, so m = 6 is refused there.
+    assert checked == 10 + 8 * 3 - 2
 
 
 # -- basis invariance ---------------------------------------------------------
