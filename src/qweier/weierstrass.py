@@ -204,36 +204,49 @@ def _monomial_matrix(basis, m, prec, skip=False):
     den_(g-1)^a_(g-1), a = vecs[i], not reduced to lowest terms.  The
     caller checks the weight and the precision.
 
-    The shared-prefix recursion runs on Kronecker-packed integers: each
-    numerator row, cut to prec coefficients, becomes one signed integer
-    evaluated at 2^w, and each tree node is one integer product truncated
-    modulo q^prec.  A coefficient below q^prec of a product involves only
-    the coefficients below q^prec of its factors.  Let L be the largest
-    l1 norm and S the largest sum of squares of a cut row.  In a product
-    of j >= 2 rows f_1, ..., f_j, each coefficient of f_(j-1) f_j is at
-    most l2(f_(j-1)) l2(f_j) <= S by Cauchy-Schwarz, and convolving with
-    the other j - 2 rows multiplies that by at most their l1 norms
-    (Young), so every coefficient is at most L**(j-2) * S <= L**(d-2) * S
-    for j <= d = m/2.  A single row's integer coefficients are at most L
-    and at most S.  So w = bit_length(bound) + 1 bits, rounded up to 1,
-    2, 4 or 8 bytes, keeps every digit exact, with bound = L**(d-2) * S
-    for d >= 2 and L for d = 1.  Each leaf is unpacked once.
+    The walk runs on Kronecker-packed integers: each numerator row, cut
+    to prec coefficients, becomes one signed integer evaluated at 2^w,
+    and every product is one integer product truncated modulo q^prec.  A
+    coefficient below q^prec of a product involves only the coefficients
+    below q^prec of its factors.  Let L be the largest l1 norm and S the
+    largest sum of squares of a cut row.  In a product of j >= 2 rows
+    f_1, ..., f_j, each coefficient of f_(j-1) f_j is at most l2(f_(j-1))
+    l2(f_j) <= S by Cauchy-Schwarz, and convolving with the other j - 2
+    rows multiplies that by at most their l1 norms (Young), so every
+    coefficient is at most L**(j-2) * S <= L**(d-2) * S for j <= d = m/2.
+    A single row's integer coefficients are at most L and at most S.  So
+    w = bit_length(bound) + 1 bits, rounded up to 1, 2, 4 or 8 bytes,
+    keeps every digit exact, with bound = L**(d-2) * S for d >= 2 and L
+    for d = 1, and every level n <= d of the walk stays within it.  Each
+    row of the matrix is unpacked once.
 
-    For m >= 6 the quadrics, built on the same packed rows (S bounds
-    them), are swept in the same order modulo the same q^prec.  A dead
-    quadric is one in the span of the quadrics before it.
-    A relation modulo q^prec times a form of valuation >= 0 is still
-    one, and adding an exponent vector keeps the lexicographic order, so
-    every multiple of a dead quadric lies in the span of the monomials
-    before it; by induction the rows that no dead quadric divides span
-    them all and include every row independent of the rows before it.
-    kept lists the indices, increasing, of the built rows that no dead
-    quadric divides: every row when m <= 4 or no quadric dies.  With
-    skip the walk builds only those rows, so kept lists every row and
-    vecs holds only their vectors.  A quadric dead only modulo a lower
-    power of q proves nothing modulo q^prec.  quad is the rank of the
-    quadrics modulo q^prec, their count minus the dead ones, for m >= 6,
-    and None for m <= 4, where the quadrics are the matrix's own rows.
+    The walk builds the monomials level by level, n = 1..d, each as one
+    product: a degree-(n - 1) monomial M times x_j for every j >= the last
+    index of M's support.  This reaches every exponent vector once, from
+    the vector less its last variable, and in lexicographically
+    decreasing order: the children of one parent come in that order as j
+    grows, and if a parent M lies above a later parent M', they first
+    differ at an index i where M is larger, M' of the same degree has
+    support past i, so every child of M' agrees with M' up to i while
+    every child of M is at least M there.
+
+    For m >= 6 the quadrics of level 2 are swept in the same order modulo
+    the same q^prec.  A dead quadric is one in the span of the quadrics
+    before it.  A relation modulo q^prec times a form of valuation >= 0
+    is still one, and adding an exponent vector keeps the lexicographic
+    order, so every multiple of a dead quadric lies in the span of the
+    monomials before it; by induction the rows that no dead quadric
+    divides span them all and include every row independent of the rows
+    before it.  A dead quadric x_a x_b sets bit b of killers[a] and bit a
+    of killers[b], and a child M x_j is dead iff M is dead or M's support
+    meets killers[j]: a dead quadric divides M x_j but not M only if it
+    is x_i x_j with x_i in M.  kept lists the indices, increasing, of the
+    live rows: every row when m <= 4 or no quadric dies.  With skip no
+    dead monomial past level 2 is built, so kept lists every row and vecs
+    holds only their vectors.  A quadric dead only modulo a lower power
+    of q proves nothing modulo q^prec.  quad is the rank of the quadrics
+    modulo q^prec, their count minus the dead ones, for m >= 6, and None
+    for m <= 4, where the quadrics are the matrix's own rows.
     """
     d = m // 2
     rows = [f.nums[:prec] for f in basis.series_list()]
@@ -243,35 +256,32 @@ def _monomial_matrix(basis, m, prec, skip=False):
                                        for row in rows)
     ring = _PackedRows(prec, bound)
     xs = [ring.pack(row) for row in rows]
-    last = [1]
-    for _ in range(d):
-        last.append(ring.mul(last[-1], xs[-1]))
-    dead, quad = [], None
-    if d > 2:
-        quadrics = []
-        _extend_monomials(ring, xs, last, 0, 2, 1, [0] * len(xs), quadrics)
-        # A row's denominator does not change whether it is dependent.
-        dead = [[i for i, e in enumerate(quadrics[k][0]) for _ in range(e)]
-                for k in dependent_rows(RatMatrix(
-                    [ring.unpack(x) for _, x in quadrics],
-                    [1] * len(quadrics), prec))]
-        quad = len(quadrics) - len(dead)
-    kills = None
-    if dead and skip:
-        kills = [0] * len(xs)
-        for a, b in dead:
-            kills[a] |= 1 << b
-    leaves = []
-    _extend_monomials(ring, xs, last, 0, d, 1, [0] * len(xs), leaves, kills)
+    g, killers, quad = len(xs), [0] * len(xs), None
+    # (exponent vector, packed row, support bits, dead) per monomial.
+    level = [((0,) * g, 1, 0, False)]
+    for n in range(1, d + 1):
+        level = [(vec[:j] + (vec[j] + 1,) + vec[j + 1:], ring.mul(x, xs[j]),
+                  support | 1 << j, out)
+                 for vec, x, support, dead in level
+                 for j in range(max(support.bit_length() - 1, 0), g)
+                 for out in [dead or support & killers[j] > 0]
+                 if not (skip and out)]
+        if n == 2 < d:
+            # A row's denominator does not change whether it is dependent.
+            died = dependent_rows(RatMatrix(
+                [ring.unpack(x) for _, x, _, _ in level], [1] * len(level),
+                prec))
+            for k in died:
+                vec, x, support, _ = level[k]
+                a, b = (i for i in range(g) for _ in range(vec[i]))
+                killers[a] |= 1 << b
+                killers[b] |= 1 << a
+                level[k] = vec, x, support, True
+            quad = len(level) - len(died)
     dens = [f.series.den for f in basis.forms]
-    vecs = [vec for vec, _ in leaves]
-    if dead and not skip:
-        # vec[a] > (a == b) asks for x_a^2 when a == b.
-        kept = [i for i, vec in enumerate(vecs)
-                if not any(vec[a] > (a == b) and vec[b] for a, b in dead)]
-    else:
-        kept = list(range(len(vecs)))
-    return vecs, RatMatrix([ring.unpack(x) for _, x in leaves],
+    vecs = [vec for vec, _, _, _ in level]
+    kept = [i for i, (_, _, _, dead) in enumerate(level) if not dead]
+    return vecs, RatMatrix([ring.unpack(x) for _, x, _, _ in level],
                            [prod(map(pow, dens, vec)) for vec in vecs],
                            prec), kept, quad
 
@@ -328,43 +338,6 @@ class _PackedRows:
         return row if sys.byteorder == "little" else row[::-1]
 
 
-def _extend_monomials(ring, xs, last, i, rem, prefix, vec, out, kills=None,
-                      banned=0):
-    """Append to out every (exponent vector, packed row) pair prefix *
-    xs[i]^a_i * ... * xs[-1]^a_last with a_i + ... + a_last = rem, in
-    lexicographically decreasing order.  xs are the packed rows, last[j]
-    is xs[-1]^j and vec[:i] holds the exponents already fixed.
-
-    With kills, no vector that contains a dead quadric is built: bit j of
-    kills[i], j >= i, marks the quadric x_i x_j dead, and bit j of banned
-    marks a form that a dead quadric with a factor of the prefix keeps
-    out.  Without kills the filter costs one test per node.
-
-    A module-level function rather than a nested one, so no closure
-    refers to itself and out is freed as soon as the caller drops it."""
-    top = rem
-    if kills:
-        if banned >> i & 1:
-            top = 0
-        elif kills[i] >> i & 1:
-            top = min(rem, 1)
-    if i == len(xs) - 1:
-        if top == rem:
-            vec[i] = rem
-            out.append((tuple(vec), ring.mul(prefix, last[rem])))
-            vec[i] = 0
-        return
-    chain = [prefix]
-    for _ in range(top):
-        chain.append(ring.mul(chain[-1], xs[i]))
-    inner = banned | kills[i] if kills else 0
-    for a in range(top, -1, -1):
-        vec[i] = a
-        _extend_monomials(ring, xs, last, i + 1, rem - a, chain[a], vec, out,
-                          kills, inner if a else banned)
-    vec[i] = 0
-
-
 def subspace_dimension(basis, m):
     """dim S^H_{m,2}: the rank of the degree-(m/2) monomial matrix, read
     on its first need = required_precision(genus, m) columns.
@@ -375,15 +348,11 @@ def subspace_dimension(basis, m):
     whole rank.  On series that are not such a basis the rank on need
     columns can fall below the rank on all basis.prec columns.
 
-    The matrix is _monomial_matrix(basis, m, need, skip=True): for m >=
-    6 no monomial that a dead quadric divides is built or swept, a dead
-    quadric being one in the span of the quadrics before it modulo the
-    same q^need.  A relation modulo q^need times a form of valuation >= 0
-    is still one, and multiplying by a form keeps the lexicographic order
-    of the monomials, so every such monomial lies in the span of the
-    monomials before it and the rank is that of the whole matrix, for
-    any series.  Where the quadric relations generate the ideal of the
-    canonical curve (Petri's theorem), few rows are left beyond the rank.
+    The matrix is _monomial_matrix(basis, m, need, skip=True), which
+    builds no monomial that a dead quadric divides; its docstring shows
+    that the rank is that of the whole matrix, for any series.  Where the
+    quadric relations generate the ideal of the canonical curve (Petri's
+    theorem), few rows are left beyond the rank.
     """
     need = _checked_precision(basis, m)
     return len(pivot_columns(
@@ -423,10 +392,9 @@ def weierstrass_test(basis, m, sig, hyperelliptic_status=None):
     proper, and a SPAN_NOT_GUARANTEED report at m = 4.
     The matrix is _monomial_matrix(basis, m, basis.prec), every monomial
     built: reading all stored columns lets rank > t expose a basis that is
-    not one of the weight-2 cusp forms.  Its kept rows, those no dead
-    quadric divides, span it and include every row independent of the
-    rows before it, so echelon_reduce sweeps only those at full width, and
-    its sorted schedule reads every row.  No solve runs here: the report
+    not one of the weight-2 cusp forms.  echelon_reduce sweeps only its
+    kept rows at full width (see _monomial_matrix for why that is exact),
+    and its sorted schedule reads every row.  No solve runs here: the report
     keeps the rows of the basis that echelon_reduce's sweep picked, cut to
     the pivot columns, and its combinations come from one solve_on_rows
     call on them when they are first read.

@@ -375,6 +375,19 @@ def test_subspace_dimension_is_the_rank_of_every_monomial(case):
     assert subspace_dimension(basis, m) == len(pivot_columns(full))
 
 
+def _kept_by_definition(basis, m, prec):
+    """(kept, quad) as defined, not as walked: the indices of the
+    degree-(m/2) monomials that no dead quadric divides, and the rank of
+    the weight-4 matrix on the same prec columns.  The dead quadrics are
+    the dependent rows of that matrix, read back as exponent vectors."""
+    quadrics, four = _monomial_matrix(basis, 4, prec)[:2]
+    dead = [quadrics[k] for k in dependent_rows(four)]
+    vecs = _monomial_matrix(basis, m, prec)[0]
+    kept = [i for i, vec in enumerate(vecs)
+            if not any(all(a <= b for a, b in zip(q, vec)) for q in dead)]
+    return kept, four.rows - len(dead)
+
+
 @settings(max_examples=80, deadline=None)
 @given(series_lists())
 @example((load_fixture(34), 6))
@@ -384,10 +397,11 @@ def test_kept_monomials_span_and_keep_every_independent_row(case):
     # weierstrass_test sweeps only the kept rows at full width, which is
     # exact when they span the row space and include every row that is
     # independent of the rows before it.  They are the rows that
-    # skip=True builds.  No quadric dies at m <= 4, where none is swept,
-    # or on X_0(34), a plane quartic, so every row is kept there.
+    # skip=True builds, and for m >= 6 exactly the rows no dead quadric
+    # divides.  No quadric dies at m <= 4, where none is swept, or on
+    # X_0(34), a plane quartic, so every row is kept there.
     basis, m = case
-    vecs, matrix, kept, _ = _monomial_matrix(basis, m, basis.prec)
+    vecs, matrix, kept, quad = _monomial_matrix(basis, m, basis.prec)
     sub = RatMatrix([matrix.nums[i] for i in kept],
                     [matrix.dens[i] for i in kept], matrix.cols)
     assert len(pivot_columns(sub)) == len(pivot_columns(matrix))
@@ -398,6 +412,69 @@ def test_kept_monomials_span_and_keep_every_independent_row(case):
         basis, m, basis.prec, skip=True)
     assert [vecs[i] for i in kept] == skipped
     assert skipped_kept == list(range(len(skipped)))
+    if m > 4:
+        assert (kept, quad) == _kept_by_definition(basis, m, basis.prec)
+
+
+#: len(kept) at m = 6, 8, ..., 14 as far as the fixture's precision
+#: allows.  No quadric dies on X_0(34) or X_0(37), so every row is kept
+#: there, binom(g + m/2 - 1, m/2) of them.
+KEPT_COUNTS = {
+    34: (10, 15, 21, 28, 36),
+    35: (7, 9, 11, 13, 15),
+    37: (4, 5, 6, 7, 8),
+    38: (16, 25, 36, 49, 64),
+    44: (16, 25, 36, 49, 64),
+    54: (16, 25, 36, 49, 64),
+    55: (22, 35, 51, 70, 92),
+    60: (35, 59, 91, 132),
+}
+
+
+@pytest.mark.parametrize("level", FIXTURE_LEVELS)
+def test_kept_rows_are_the_monomials_no_dead_quadric_divides(level):
+    basis = load_fixture(level)
+    counts = []
+    for m in range(6, 15, 2):
+        if required_precision(basis.genus, m) <= basis.prec:
+            kept, quad = _monomial_matrix(basis, m, basis.prec)[2:]
+            assert (kept, quad) == _kept_by_definition(basis, m, basis.prec)
+            counts.append(len(kept))
+    assert tuple(counts) == KEPT_COUNTS[level]
+
+
+@pytest.mark.parametrize("level,m,skip,products", [
+    (34, 6, False, 19),
+    (60, 8, False, 329),
+    (60, 12, False, 1715),
+    (60, 8, True, 129),
+    (60, 12, True, 352),
+])
+def test_one_product_per_monomial(monkeypatch, level, m, skip, products):
+    # Fixed counts, unlike wall clock.  Without skip every monomial of
+    # degree 1..m/2 is one product, binom(g + m/2, m/2) - 1 in all.  With
+    # skip on required_precision columns, every built monomial is one
+    # product: all of degree 1 and 2, and at each degree n >= 3 those no
+    # dead quadric divides.
+    calls = []
+    real = _PackedRows.mul
+
+    def mul(self, x, y):
+        calls.append(None)
+        return real(self, x, y)
+    monkeypatch.setattr(_PackedRows, "mul", mul)
+    basis = load_fixture(level)
+    g, d = basis.genus, m // 2
+    prec = required_precision(g, m) if skip else basis.prec
+    _monomial_matrix(basis, m, prec, skip=skip)
+    assert len(calls) == products
+    if skip:
+        monkeypatch.setattr(_PackedRows, "mul", real)
+        live = sum(len(_kept_by_definition(basis, 2 * n, prec)[0])
+                   for n in range(3, d + 1))
+        assert products == g + comb(g + 1, 2) + live
+    else:
+        assert products == comb(g + d, d) - 1
 
 
 def test_weierstrass_test_sweeps_kept_rows_and_schedules_pivot_columns(
